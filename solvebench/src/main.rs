@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path solvebench/Cargo.toml -- \
-//!     --workload <ua741_refgen|ua741_fleet|mesh_refgen|mesh_ac|all> \
+//!     --workload <ua741_refgen|ua741_fleet|mesh_ac|all> \
 //!     [--seed N] [--seconds S] [--trace 0|1]
 //! ```
 //!
@@ -13,6 +13,7 @@
 //! JSON result. `--workload all` runs every workload in its own child
 //! process and prints each metric with its unit, sample count and seed.
 
+use refgen_solvebench::calibrate::Normaliser;
 use refgen_solvebench::report::{self, median, quantile, result_json, Metric};
 use refgen_solvebench::trace;
 use refgen_solvebench::workload::{Kind, Workload};
@@ -21,6 +22,8 @@ use std::time::Instant;
 
 const DEFAULT_SEED: u64 = 20_261_017;
 const DEFAULT_SECONDS: f64 = 20.0;
+/// Shares of the timed part after which the workload is set up again.
+const SETUP_AT: [f64; 3] = [0.25, 0.5, 0.75];
 /// Sample count below which the 90th percentile has fewer than ten
 /// samples beyond it.
 const P90_MIN_SAMPLES: usize = 100;
@@ -143,10 +146,15 @@ fn print_identity(workload: &Workload, nproc: usize, commit: &str, source_fnv: &
 /// Set-up, then operations until `seconds` of operation time have been
 /// measured. Each operation's output is checked after its timer stops.
 ///
-/// The workload is set up three times and `setup_s` is the median: first
-/// from process start, again halfway through the timed part and once more
-/// after it. Spreading the three over the run keeps one short slow spell
-/// of a shared host from deciding the figure.
+/// After each operation the calibration kernel is timed a few times, and
+/// each operation's wall time is divided by the median kernel time around
+/// it. The latency and throughput metrics are these host-speed-normalised
+/// costs; the raw wall-clock figures are printed beside them.
+///
+/// The workload is set up five times and `setup_s` is the median: first
+/// from process start, again after a quarter, half and three quarters of
+/// the timed part, and once more after it. Spreading the five over the
+/// run keeps one slow spell of a shared host from deciding the figure.
 fn timed_run(
     kind: Kind,
     args: &Args,
@@ -166,20 +174,20 @@ fn timed_run(
     print_identity(&workload, nproc, commit, source_fnv);
 
     let mut op_ms = Vec::new();
+    let mut normaliser = Normaliser::new(workload.threads);
     let (mut attempted, mut failed) = (0u64, 0u64);
     let mut timed_s = 0.0;
-    let mut resetup_done = false;
+    let mut resetups = SETUP_AT.iter().peekable();
     let wall = Instant::now();
     // A safety stop keeps a run whose checks turn slow inside its time
     // limit.
     while op_ms.is_empty()
         || (timed_s < args.seconds && wall.elapsed().as_secs_f64() < 3.0 * args.seconds)
     {
-        if !resetup_done && timed_s >= args.seconds / 2.0 {
+        if resetups.next_if(|&&at| timed_s >= at * args.seconds).is_some() {
             // Free the previous set-up's state before timing the next one.
             drop(workload);
             workload = set_up(Instant::now());
-            resetup_done = true;
         }
         let input = workload.input(op_ms.len() as u64);
         let t = Instant::now();
@@ -189,16 +197,22 @@ fn timed_run(
         timed_s += dt;
         attempted += kind.solves_per_op() as u64;
         failed += workload.failures(output) as u64;
+        normaliser.record(t, dt * 1e3);
     }
 
     drop(workload);
     drop(set_up(Instant::now()));
     let n = op_ms.len();
     let completed = attempted - failed;
+    let costs = normaliser.costs();
     let metrics = vec![
-        Metric::new("solve_ms_p50", median(&op_ms), "ms"),
-        Metric::new("solve_ms_p90", quantile(&op_ms, 0.9), "ms"),
-        Metric::new("solves_per_s", completed as f64 / timed_s, "1/s"),
+        Metric::new("solve_cal_p50", median(&costs), "cal"),
+        Metric::new("solve_cal_p90", quantile(&costs, 0.9), "cal"),
+        Metric::new(
+            "solves_per_kcal",
+            1e3 * completed as f64 / costs.iter().sum::<f64>(),
+            "1/kcal",
+        ),
         Metric::new("success_frac", completed as f64 / attempted as f64, "ratio"),
         Metric::new("peak_rss_mb", report::peak_rss_mib().unwrap_or(0.0), "MiB"),
         Metric::new("setup_s", median(&setup_s), "s"),
@@ -208,8 +222,21 @@ fn timed_run(
          {:.3} s wall; set-ups {setup_s:.3?} s",
         wall.elapsed().as_secs_f64()
     );
-    for m in &metrics {
-        let note = if m.name == "solve_ms_p90" && n < P90_MIN_SAMPLES {
+    let kernel_ms = normaliser.kernel_ms();
+    println!(
+        "# calibration kernel {:.4} ms median of {} samples (p10 {:.4}, p90 {:.4})",
+        median(&kernel_ms),
+        kernel_ms.len(),
+        quantile(&kernel_ms, 0.1),
+        quantile(&kernel_ms, 0.9)
+    );
+    let wall_clock = [
+        Metric::new("solve_ms_p50", median(&op_ms), "ms"),
+        Metric::new("solve_ms_p90", quantile(&op_ms, 0.9), "ms"),
+        Metric::new("solves_per_s", completed as f64 / timed_s, "1/s"),
+    ];
+    for m in metrics.iter().chain(&wall_clock) {
+        let note = if m.name.contains("p90") && n < P90_MIN_SAMPLES {
             " — fewer than 10 samples beyond the 90th percentile"
         } else {
             ""

@@ -76,7 +76,7 @@ fn window_runs(nf: &NetworkFunction) -> Vec<WindowRun> {
 fn reference_solve(workload: &Workload, threads: usize) -> (Counts, Vec<Unit>) {
     let mut counts = Counts::default();
     let units = match (workload.kind, workload.reference_input()) {
-        (Kind::Ua741Refgen | Kind::MeshRefgen, Input::Text(text)) => {
+        (Kind::Ua741Refgen, Input::Text(text)) => {
             let circuit = parse_text(&text).expect("reference netlist parses");
             let sys = MnaSystem::new(&circuit).expect("reference circuit compiles");
             let config = session_config(threads);
@@ -135,7 +135,7 @@ fn reference_solve(workload: &Workload, threads: usize) -> (Counts, Vec<Unit>) {
             counts.refactor_hits = scratch.stats().refactor_hits;
             vec![Unit { circuit, windows: Vec::new() }]
         }
-        (Kind::Ua741Refgen | Kind::MeshRefgen, Input::Fixed) => unreachable!(),
+        (Kind::Ua741Refgen, Input::Fixed) => unreachable!(),
     };
     (counts, units)
 }

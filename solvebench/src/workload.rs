@@ -1,4 +1,4 @@
-//! The four workloads: seeded input generation, the set-up each one pays
+//! The three workloads: seeded input generation, the set-up each one pays
 //! before timing (reference solves, their independent checks, warm-up),
 //! the timed operation, and the correctness check of every operation.
 //!
@@ -19,8 +19,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Variants per fleet operation.
 pub const FLEET_SIZE: usize = 64;
-/// Side of the `mesh_refgen` grid (16 × 16 nodes, MNA dimension 257).
-pub const MESH_REFGEN_SIDE: usize = 16;
 /// Side of the `mesh_ac` grid (32 × 32 nodes, MNA dimension 1025).
 pub const MESH_AC_SIDE: usize = 32;
 /// Frequency points of the `mesh_ac` sweep.
@@ -44,12 +42,6 @@ pub const AC_REL_TOL: f64 = 1e-9;
 /// Frequencies every µA741 session is checked at (one per regime: DC,
 /// the dominant pole, unity gain, far roll-off).
 const UA741_CHECK_HZ: [f64; 4] = [1.0, 1e3, 1e6, 1e9];
-/// Frequencies every mesh session is checked at. Mesh checks stay in the
-/// band where the response is above about −30 dB: further out, both a
-/// double-precision LU solve of a −100…−1000 dB output and the evaluation
-/// of a degree-255 polynomial from six-digit coefficients lose the digits
-/// a 1e-6 dB comparison needs.
-const MESH_CHECK_HZ: [f64; 3] = [1e3, 1e4, 1e5];
 /// Mesh sweep points the reference sweep is checked at independently (a
 /// fresh Markowitz factorization of the 1025-node mesh costs ~0.3 s, so
 /// not every one of the 96).
@@ -69,19 +61,16 @@ const FINGERPRINTED_OPS: u64 = 16;
 pub enum Kind {
     Ua741Refgen,
     Ua741Fleet,
-    MeshRefgen,
     MeshAc,
 }
 
 impl Kind {
-    pub const ALL: [Kind; 4] =
-        [Kind::Ua741Refgen, Kind::Ua741Fleet, Kind::MeshRefgen, Kind::MeshAc];
+    pub const ALL: [Kind; 3] = [Kind::Ua741Refgen, Kind::Ua741Fleet, Kind::MeshAc];
 
     pub fn name(self) -> &'static str {
         match self {
             Kind::Ua741Refgen => "ua741_refgen",
             Kind::Ua741Fleet => "ua741_fleet",
-            Kind::MeshRefgen => "mesh_refgen",
             Kind::MeshAc => "mesh_ac",
         }
     }
@@ -94,7 +83,7 @@ impl Kind {
     /// frequency points.
     pub fn solves_per_op(self) -> usize {
         match self {
-            Kind::Ua741Refgen | Kind::MeshRefgen => 1,
+            Kind::Ua741Refgen => 1,
             Kind::Ua741Fleet => FLEET_SIZE,
             Kind::MeshAc => AC_POINTS,
         }
@@ -106,25 +95,23 @@ impl Kind {
             Kind::Ua741Refgen => 1,
             // The sweep has no thread knob: it is sequential.
             Kind::MeshAc => 1,
-            Kind::Ua741Fleet | Kind::MeshRefgen => nproc,
+            Kind::Ua741Fleet => nproc,
         }
     }
 
     /// Untimed operations before timing starts: enough that allocator
-    /// growth and first-touch page faults (the first ~6 mesh sessions of
-    /// a process run ~1.5× slower) are paid in set-up.
+    /// growth and first-touch page faults are paid in set-up.
     fn warmup_ops(self) -> u64 {
         match self {
             Kind::Ua741Refgen => 24,
             Kind::Ua741Fleet => 2,
-            Kind::MeshRefgen => 4,
             Kind::MeshAc => 2,
         }
     }
 
     /// Whether the operation parses a netlist text.
     pub fn parses(self) -> bool {
-        matches!(self, Kind::Ua741Refgen | Kind::MeshRefgen)
+        self == Kind::Ua741Refgen
     }
 }
 
@@ -156,13 +143,8 @@ pub fn ua741_variants(seed: u64, count: usize) -> Vec<Circuit> {
 }
 
 /// The netlist text a session workload parses for input stream `stream`.
-pub fn session_text(kind: Kind, seed: u64, stream: u64) -> String {
-    let s = mix(seed, stream);
-    match kind {
-        Kind::Ua741Refgen => to_spice(&ua741_variants(s, 1)[0]),
-        Kind::MeshRefgen => to_spice(&grid_rc_mesh(MESH_REFGEN_SIDE, MESH_REFGEN_SIDE, s)),
-        Kind::Ua741Fleet | Kind::MeshAc => unreachable!("{} parses no text", kind.name()),
-    }
+pub fn session_text(seed: u64, stream: u64) -> String {
+    to_spice(&ua741_variants(mix(seed, stream), 1)[0])
 }
 
 /// The fleet one `ua741_fleet` run solves in every operation.
@@ -337,16 +319,13 @@ impl Workload {
         let threads = kind.threads(nproc);
         let mut fp = Fingerprint::default();
         let (state, reference_ok, ac_err_db_max) = match kind {
-            Kind::Ua741Refgen | Kind::MeshRefgen => {
-                let text = session_text(kind, seed, REFERENCE_STREAM);
+            Kind::Ua741Refgen => {
+                let text = session_text(seed, REFERENCE_STREAM);
                 fp.add(text.as_bytes());
                 for i in 0..FINGERPRINTED_OPS {
-                    fp.add(session_text(kind, seed, i).as_bytes());
+                    fp.add(session_text(seed, i).as_bytes());
                 }
-                let band = match kind {
-                    Kind::Ua741Refgen => log_space(1.0, 1e9, 100),
-                    _ => log_space(1.0, 1e5, 21),
-                };
+                let band = log_space(1.0, 1e9, 100);
                 fp.add_f64s(&band);
                 let error = solve_text(&text, session_config(threads), None)
                     .ok()
@@ -439,7 +418,7 @@ impl Workload {
 
     fn input_for_stream(&self, stream: u64) -> Input {
         match self.state {
-            State::Sessions => Input::Text(session_text(self.kind, self.seed, stream)),
+            State::Sessions => Input::Text(session_text(self.seed, stream)),
             State::Fleet { .. } | State::Sweep { .. } => Input::Fixed,
         }
     }
@@ -476,12 +455,9 @@ impl Workload {
         match (&self.state, output) {
             (_, Output::Panicked) => all,
             (State::Sessions, Output::Session(result)) => {
-                let freqs: &[f64] = match self.kind {
-                    Kind::Ua741Refgen => &UA741_CHECK_HZ,
-                    _ => &MESH_CHECK_HZ,
-                };
-                let ok =
-                    result.is_ok_and(|(circuit, nf)| bode_ok(bode_error_db(&nf, &circuit, freqs)));
+                let ok = result.is_ok_and(|(circuit, nf)| {
+                    bode_ok(bode_error_db(&nf, &circuit, &UA741_CHECK_HZ))
+                });
                 usize::from(!ok)
             }
             (State::Fleet { solo, .. }, Output::Fleet(result)) => match result {

@@ -32,11 +32,6 @@ fn ua741_fleet_counts_repeat() {
 }
 
 #[test]
-fn mesh_refgen_counts_repeat() {
-    counts_repeat(Kind::MeshRefgen);
-}
-
-#[test]
 fn mesh_ac_counts_repeat() {
     counts_repeat(Kind::MeshAc);
 }
