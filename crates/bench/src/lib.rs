@@ -495,7 +495,7 @@ pub fn fleet_batched(
 /// measurement in nanoseconds per evaluated point.
 #[derive(Clone, Debug)]
 pub struct PerfRow {
-    /// Stable row identifier (`refactor_ua741_workspace`, …).
+    /// Stable row identifier (`refactor_ua741_compiled`, …).
     pub name: String,
     /// Median over reps of (elapsed / points).
     pub median_ns_per_point: f64,
@@ -595,20 +595,12 @@ impl PerfSnapshot {
         let speedup = |a: &str, b: &str| self.ns(a) / self.ns(b);
         let mut derived: Vec<(&str, f64)> = vec![
             (
-                "ladder_refactor_speedup_compiled_vs_workspace",
-                speedup("refactor_ladder16_workspace", "refactor_ladder16_compiled"),
+                "ladder_refactor_speedup_compiled_vs_fresh",
+                speedup("refactor_ladder16_fresh", "refactor_ladder16_compiled"),
             ),
             (
-                "ua741_refactor_speedup_compiled_vs_workspace",
-                speedup("refactor_ua741_workspace", "refactor_ua741_compiled"),
-            ),
-            (
-                "ladder_window_speedup_vs_pr3",
-                speedup("window_ladder16_pr3_planned", "window_ladder16_compiled_mirrored"),
-            ),
-            (
-                "ua741_window_speedup_vs_pr3",
-                speedup("window_ua741_pr3_planned", "window_ua741_compiled_mirrored"),
+                "ua741_refactor_speedup_compiled_vs_fresh",
+                speedup("refactor_ua741_fresh", "refactor_ua741_compiled"),
             ),
             (
                 "ua741_session_speedup_mirror_on_vs_off",
@@ -700,7 +692,7 @@ fn median_ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64
 
 /// The affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)` — the
 /// same two-sample extraction `SweepPlan` performs, rebuilt here so the
-/// snapshot can time the PR 3 workspace path and the compiled kernel on
+/// snapshot can time a fresh factorization and the compiled kernel on
 /// identical inputs.
 fn bench_affine_pattern(
     sys: &refgen_mna::MnaSystem,
@@ -719,20 +711,18 @@ fn bench_affine_pattern(
 /// Measures the perf trajectory of the sampling hot path and returns the
 /// snapshot the `perf_snapshot` binary writes to `BENCH_sampling.json`:
 ///
-/// * `refactor_{circuit}_{workspace,compiled}` — median ns per
-///   determinant-only refactorization point (the denominator-sampling
-///   cost): the PR 3 planned path (triplet scatter +
-///   `SparseLu::refactor_into`) versus the compiled symbolic kernel
-///   (`FactorProgram::refactor_values`), identical pivot order and
-///   values, no RHS solve in either;
-/// * `window_{circuit}_{pr3_planned,compiled_mirrored}` — median ns per
-///   *window point* of a full conjugate-paired unit-circle window of
-///   refactor+solve work (the numerator-sampling cost): the PR 3 path
-///   solves every point through the workspace, the current path solves
-///   the closed upper half on the compiled kernel and takes each
-///   remaining point as the conjugate of its actual partner — the two
-///   rows perform identical per-point work, so their ratio is the
-///   like-for-like window speedup;
+/// * `refactor_{circuit}_{fresh,compiled}` — median ns per
+///   determinant-only factorization point (the denominator-sampling
+///   cost): a fresh Markowitz factorization (triplet scatter +
+///   `SparseLu::factor`, the cost of rung 1 of the sweep's recovery
+///   ladder) versus the compiled symbolic kernel
+///   (`FactorProgram::refactor_values`) replaying the probe's order on
+///   the same values, no RHS solve in either;
+/// * `window_{circuit}_compiled_mirrored` — median ns per *window point*
+///   of a full conjugate-paired unit-circle window of refactor+solve work
+///   (the numerator-sampling cost): the closed upper half solved on the
+///   compiled kernel, each remaining point taken as the conjugate of its
+///   actual partner;
 /// * `fleet_ua741x64_{scalar,batched}` — a 64-variant same-topology
 ///   µA741 fleet sampled over one 40-point window, ns per
 ///   (variant, point) solve: per-variant sequential evaluation versus the
@@ -752,7 +742,7 @@ fn bench_affine_pattern(
 /// workspace tests).
 pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     use refgen_numeric::Complex;
-    use refgen_sparse::{FactorProgram, LuWorkspace, ProgramScratch, SparseLu, Triplets};
+    use refgen_sparse::{FactorProgram, ProgramScratch, SparseLu, Triplets};
 
     let reps = if quick { 5 } else { 60 };
     let mut rows = Vec::new();
@@ -768,7 +758,8 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let points = 40usize;
         let sigmas = refgen_numeric::dft::unit_circle_points(points);
 
-        // One probe pivot search, shared by both measured paths.
+        // One probe pivot search, recording the order the compiled rows
+        // replay.
         let probe = Complex::new(1f64.cos(), 1f64.sin());
         let mut t = Triplets::new(dim);
         for &(r, c, k0, k1) in &pattern {
@@ -778,10 +769,8 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
         let program = FactorProgram::compile(dim, &positions, &order).expect("pattern compiles");
 
-        // Determinant-only refactorization, PR 3 workspace path: triplet
-        // scatter + pivot-order replay.
-        let mut ws = LuWorkspace::new();
-        let mut x = Vec::new();
+        // Determinant-only fresh Markowitz factorization: triplet scatter
+        // + full pivot search, what a point pays when its replay dies.
         let mut tri = Triplets::new(dim);
         let (ns, _) = median_ns_per_point(reps, points, || {
             let mut acc = 0.0;
@@ -790,13 +779,12 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 for &(r, c, k0, k1) in &pattern {
                     tri.add(r, c, k0 + sigma * k1);
                 }
-                SparseLu::refactor_into(&tri, &order, &mut ws).expect("replay succeeds");
-                acc += ws.det().norm().log2();
+                acc += SparseLu::factor(&tri).expect("point factors").det().norm().log2();
             }
             acc
         });
         rows.push(PerfRow {
-            name: format!("refactor_{name}_workspace"),
+            name: format!("refactor_{name}_fresh"),
             median_ns_per_point: ns,
             points,
             reps,
@@ -825,31 +813,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             reps,
         });
 
-        // Window-level refactor+solve comparison over one conjugate-paired
-        // window. PR 3 solved every σ through the workspace…
-        let (ns, _) = median_ns_per_point(reps, points, || {
-            let mut acc = 0.0;
-            for &sigma in &sigmas {
-                tri.reset(dim);
-                for &(r, c, k0, k1) in &pattern {
-                    tri.add(r, c, k0 + sigma * k1);
-                }
-                SparseLu::refactor_into(&tri, &order, &mut ws).expect("replay succeeds");
-                ws.solve_into(&rhs, &mut x);
-                acc += x[0].re;
-            }
-            acc
-        });
-        rows.push(PerfRow {
-            name: format!("window_{name}_pr3_planned"),
-            median_ns_per_point: ns,
-            points,
-            reps,
-        });
-        // …the current engine solves only the closed upper half on the
-        // compiled kernel and conjugates each remaining point from its
-        // actual partner σ_{K−i} = conj(σ_i) (same work per point as the
-        // row above, minus the mirrored solves).
+        // Window-level refactor+solve over one conjugate-paired window:
+        // the engine solves only the closed upper half on the compiled
+        // kernel and conjugates each remaining point from its actual
+        // partner σ_{K−i} = conj(σ_i).
+        let mut x = Vec::new();
         let mut solved: Vec<Complex> = vec![Complex::ZERO; points];
         let (ns, _) = median_ns_per_point(reps, points, || {
             let mut acc = 0.0;
@@ -1096,13 +1064,11 @@ mod tests {
     #[test]
     fn perf_snapshot_json_format() {
         let names = [
-            "refactor_ladder16_workspace",
+            "refactor_ladder16_fresh",
             "refactor_ladder16_compiled",
-            "window_ladder16_pr3_planned",
             "window_ladder16_compiled_mirrored",
-            "refactor_ua741_workspace",
+            "refactor_ua741_fresh",
             "refactor_ua741_compiled",
-            "window_ua741_pr3_planned",
             "window_ua741_compiled_mirrored",
             "transient_ladder16_be",
             "transient_ladder16_tr",
@@ -1140,7 +1106,8 @@ mod tests {
         };
         let json = snapshot.to_json();
         assert!(json.contains("\"schema\": \"refgen-bench-sampling/v1\""));
-        assert!(json.contains("\"ua741_window_speedup_vs_pr3\""));
+        assert!(json.contains("\"ua741_refactor_speedup_compiled_vs_fresh\""));
+        assert!(!json.contains("workspace"));
         assert!(json.contains("\"fleet_batched_speedup\""));
         assert!(json.contains("\"mesh1024_hybrid_speedup_vs_direct\""));
         assert!(json.contains("\"mesh4096_amd_speedup_vs_markowitz\""));
@@ -1151,8 +1118,8 @@ mod tests {
         // JSON parser dependency.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(snapshot.ns("refactor_ua741_workspace"), 500.0);
-        assert_eq!(snapshot.ns_opt("refactor_ua741_workspace"), Some(500.0));
+        assert_eq!(snapshot.ns("refactor_ua741_fresh"), 400.0);
+        assert_eq!(snapshot.ns_opt("refactor_ua741_fresh"), Some(400.0));
         assert_eq!(snapshot.ns_opt("mesh8_missing_row"), None);
     }
 
@@ -1162,13 +1129,11 @@ mod tests {
     #[test]
     fn quick_snapshot_json_omits_large_mesh_ratios() {
         let names = [
-            "refactor_ladder16_workspace",
+            "refactor_ladder16_fresh",
             "refactor_ladder16_compiled",
-            "window_ladder16_pr3_planned",
             "window_ladder16_compiled_mirrored",
-            "refactor_ua741_workspace",
+            "refactor_ua741_fresh",
             "refactor_ua741_compiled",
-            "window_ua741_pr3_planned",
             "window_ua741_compiled_mirrored",
             "fleet_ua741x64_scalar",
             "fleet_ua741x64_batched",

@@ -120,8 +120,8 @@ impl AcAnalysis {
 
     /// Sweeps a frequency grid through a [`SweepPlan`](crate::SweepPlan):
     /// one pivot search
-    /// (the plan's probe factorization) and then pure numeric
-    /// refactorization into a reused workspace per point — what production
+    /// (the plan's probe factorization) and then one compiled numeric
+    /// refactorization into reused buffers per point — what production
     /// circuit simulators do. Any point where the recorded order hits an
     /// exact zero pivot falls back to a fresh Markowitz factorization whose
     /// order is **adopted** for the remaining points, so a mid-sweep

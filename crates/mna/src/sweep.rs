@@ -11,17 +11,14 @@
 //!   (every MNA stamp is constant or linear in `s`), so per-point assembly
 //!   is one multiply-add per entry into a reused buffer;
 //! * the **RHS template** (the excitation vector is frequency-independent);
-//! * an **adopted pivot order** from one probe factorization, so per-point
-//!   factorization is a numeric replay
-//!   ([`SparseLu::refactor_into`](refgen_sparse::SparseLu::refactor_into))
-//!   with no pivot search;
-//! * a **compiled symbolic kernel**
-//!   ([`FactorProgram`]) built from
-//!   `(pattern, pivot order)`: fill-in, slot layout, and the elimination
-//!   instruction stream are computed once, and every point stamps
-//!   `K₀ + s·K₁` straight into flat slots and replays — zero sorting,
-//!   searching, insertion, or allocation per point
-//!   ([`SweepStats::compiled_hits`] counts this fastest path);
+//! * a **pivot order** from one probe factorization together with the
+//!   **compiled symbolic kernel** ([`FactorProgram`]) built from
+//!   `(pattern, pivot order)` — the plan holds the two as one value, never
+//!   an order without its kernel: fill-in, slot layout, and the
+//!   elimination instruction stream are computed once, and every point
+//!   stamps `K₀ + s·K₁` straight into flat slots and replays — no pivot
+//!   search, and zero sorting, searching, insertion, or allocation per
+//!   point ([`SweepStats::compiled_hits`] counts this path);
 //! * a **conjugate-symmetry flag**: when every `K₀`/`K₁` entry and the RHS
 //!   are real (true for every supported element), `D(s̄) = conj(D(s))`
 //!   exactly, so batched samplers may solve only the closed upper half of
@@ -29,9 +26,14 @@
 //!   (IEEE arithmetic is conjugate-equivariant; see
 //!   [`SweepPlan::conjugate_symmetric`]).
 //!
-//! Execution state lives in a [`SweepScratch`] — reused triplet buffer, LU
-//! workspace, program scratch, solution vector, and hit counters — so the
-//! steady state allocates nothing. The plan itself is immutable and
+//! Every point is either a compiled replay or, when the replay meets an
+//! exact zero pivot (or the plan carries no kernel because its probe was
+//! singular), a fresh Markowitz factorization — the first rung of the
+//! singular-recovery ladder; see [`SweepPlan::eval_at`].
+//!
+//! Execution state lives in a [`SweepScratch`] — reused triplet buffer,
+//! program scratch, solution vector, and hit counters — so the steady
+//! state allocates nothing. The plan itself is immutable and
 //! `Sync`: a parallel executor shares one plan across workers, each owning
 //! a scratch, and every point's result depends only on `(plan, s)` — which
 //! is what makes batched sampling bit-identical at any thread count.
@@ -85,7 +87,7 @@ use crate::system::{MnaSystem, Scale};
 use crate::transfer::{OutputSpec, TransferResponse, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::gmres::{gmres_solve, GmresParams, GmresWorkspace};
-use refgen_sparse::{FactorProgram, LuWorkspace, PivotOrder, ProgramScratch, SparseLu, Triplets};
+use refgen_sparse::{FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -164,9 +166,11 @@ pub struct SweepStats {
     /// instruction-stream replay with zero per-point sorting, searching,
     /// insertion, or heap allocation — whether the plan's own kernel or
     /// one compiled for an *adopted* fallback order (sequential sweeps
-    /// recompile once at adoption, so the rest of the window replays the
-    /// fast path too). Batched lanes ([`SweepPlan::eval_batch`]) count
-    /// one hit per live lane, exactly like sequential points.
+    /// compile once at adoption, so the rest of the window replays the
+    /// fast path too). Every order is replayed through its kernel, so
+    /// this equals `refactor_hits`. Batched lanes
+    /// ([`SweepPlan::eval_batch`]) count one hit per live lane, exactly
+    /// like sequential points.
     pub compiled_hits: u64,
     /// The subset of [`SweepStats::compiled_hits`] that replayed a kernel
     /// compiled from an **AMD** ordering ([`SelectedOrdering::Amd`]) —
@@ -190,27 +194,34 @@ pub struct SweepStats {
 /// assembly/factorization/solve buffers plus [`SweepStats`] counters.
 ///
 /// One scratch per thread; the plan is shared. A scratch built with
-/// [`SweepScratch::new`] always replays the *plan's* pivot order, so
-/// results are a pure function of `(plan, s)` — the mode batched sampling
-/// needs for thread-count-independent output. A scratch built with
+/// [`SweepScratch::new`] always replays the *plan's* kernel, so results
+/// are a pure function of `(plan, s)` — the mode batched sampling needs
+/// for thread-count-independent output. A scratch built with
 /// [`SweepScratch::adopting`] additionally adopts the pivot order of any
-/// fallback Markowitz factorization for subsequent points, so a sequential
+/// fallback Markowitz factorization — compiled into its own kernel at
+/// adoption — for the subsequent points of the same plan, so a sequential
 /// sweep that crosses a point where the recorded order dies (exact zero
 /// pivot) pays the pivot search once instead of at every remaining point.
+/// An adoption applies only to the plan that made it: evaluating another
+/// plan with the scratch replays that plan's own kernel.
 #[derive(Clone, Debug, Default)]
 pub struct SweepScratch {
     triplets: Triplets,
-    ws: LuWorkspace,
     prog: ProgramScratch,
     x: Vec<Complex>,
-    adopted: Option<PivotOrder>,
-    /// Symbolic kernel compiled for the adopted order at adoption time, so
-    /// post-fallback points replay the flat instruction stream instead of
-    /// the workspace (`None` only if compilation failed — impossible for
-    /// an order recorded on this very pattern — or before any fallback).
-    adopted_program: Option<Arc<FactorProgram>>,
+    adopted: Option<Adoption>,
     adopt_on_fallback: bool,
     stats: SweepStats,
+}
+
+/// A fallback order an adopting [`SweepScratch`] replays in place of its
+/// plan's own: the kernel compiled for it (which encodes the order) and
+/// the identity of the plan that adopted it — the plan's shared pattern,
+/// held so no later plan can reuse its address.
+#[derive(Clone, Debug)]
+struct Adoption {
+    plan: Arc<[PatternEntry]>,
+    program: Arc<FactorProgram>,
 }
 
 impl SweepScratch {
@@ -231,7 +242,7 @@ impl SweepScratch {
         self.stats
     }
 
-    /// Resets the counters (buffers and any adopted order are kept).
+    /// Resets the counters (buffers and any adopted kernel are kept).
     pub fn reset_stats(&mut self) {
         self.stats = SweepStats::default();
     }
@@ -239,13 +250,11 @@ impl SweepScratch {
 
 /// Where a factorization for one evaluation point lives.
 enum Factored {
-    /// In the scratch's program scratch (compiled-kernel replay succeeded
-    /// — the fastest path). Carries the kernel that replayed: the plan's
-    /// own, or one compiled for an adopted fallback order.
+    /// In the scratch's program scratch (compiled-kernel replay
+    /// succeeded). Carries the kernel that replayed: the plan's own, one
+    /// compiled for an adopted fallback order, or the rung-2 alternate.
     Program(Arc<FactorProgram>),
-    /// In the scratch workspace (pivot-order replay succeeded).
-    Workspace,
-    /// A fresh Markowitz factorization (fallback path).
+    /// A fresh Markowitz factorization (rung 1 of the recovery ladder).
     Fresh(SparseLu),
 }
 
@@ -286,21 +295,57 @@ impl PlanDrive {
     }
 }
 
+/// One raw stamp entry of an affine pattern `A(s) = K₀ + s·K₁`:
+/// `(row, col, constant, s-coefficient)`.
+pub(crate) type PatternEntry = (usize, usize, Complex, Complex);
+
+/// A pivot order together with the symbolic kernel compiled from it — the
+/// only form in which plans hold an order, so every replay of a recorded
+/// order runs its compiled kernel. An order that does not compile is
+/// dropped, and its plan behaves as if the probe had been singular: every
+/// point pays a fresh Markowitz factorization.
+#[derive(Clone, Debug)]
+pub(crate) struct CompiledOrder {
+    pub(crate) order: PivotOrder,
+    /// Shared by reference across rebinds, cache hits and re-plans
+    /// (symbolic analysis is value- and scale-independent).
+    pub(crate) program: Arc<FactorProgram>,
+}
+
+impl CompiledOrder {
+    /// Compiles `order` over the positions of `pattern`. `None` when a
+    /// prescribed pivot is structurally absent — which cannot happen for
+    /// an order a factorization just recorded on this very pattern.
+    /// [`PlanCache`] hits hand out the *stored* kernel without
+    /// recompiling, safe because cache entries are keyed by the
+    /// positions-only pattern fingerprint (identical positions ⇒ identical
+    /// symbolic analysis).
+    pub(crate) fn compile(
+        dim: usize,
+        pattern: &[PatternEntry],
+        order: PivotOrder,
+    ) -> Option<CompiledOrder> {
+        let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
+        let program = FactorProgram::compile(dim, &positions, &order).ok()?;
+        Some(CompiledOrder { order, program: Arc::new(program) })
+    }
+}
+
 /// A compiled evaluation plan for one `(MnaSystem, Scale)` pair. See the
 /// [module docs](self) for the architecture and examples.
 #[derive(Clone, Debug)]
 pub struct SweepPlan {
     dim: usize,
     scale: Scale,
-    /// `(row, col, constant, s-coefficient)` per raw stamp entry; the
-    /// matrix at `s` is the accumulation of `constant + s·coefficient`.
-    pattern: Vec<(usize, usize, Complex, Complex)>,
+    /// The raw stamp entries; the matrix at `s` is the accumulation of
+    /// `constant + s·coefficient`. Shared so clones of one plan share an
+    /// identity, which an adopting [`SweepScratch`] checks its adoption
+    /// against.
+    pattern: Arc<[PatternEntry]>,
     rhs: Vec<Complex>,
-    order: Option<PivotOrder>,
-    /// Compiled symbolic kernel for `(pattern, order)` — shared by
-    /// reference across rebinds and cache hits (symbolic analysis is
-    /// value- and scale-independent).
-    program: Option<Arc<FactorProgram>>,
+    /// The ordering selection: recorded order, its compiled kernel and
+    /// the choice record (`None` when the probe was singular).
+    selection: Option<PlanSelection>,
     /// `true` when every `K₀`/`K₁` entry and every RHS entry is real, so
     /// `D(s̄) = conj(D(s))` holds exactly (see the [module docs](self)).
     conjugate_symmetric: bool,
@@ -310,17 +355,26 @@ pub struct SweepPlan {
     /// against the new system so a changed source amplitude stays
     /// consistent with the recomputed RHS.
     input: Option<String>,
-    /// The ordering-selection outcome (`None` when the probe was singular
-    /// and the plan carries no order at all).
-    ordering: Option<OrderingChoice>,
 }
 
-/// What one ordering selection produced: the adopted order, its compiled
-/// kernel, and the choice record.
+/// What one ordering selection produced: the adopted order with its
+/// compiled kernel, and the choice record.
+#[derive(Clone, Debug)]
 struct PlanSelection {
-    order: PivotOrder,
-    program: Option<Arc<FactorProgram>>,
+    compiled: CompiledOrder,
     choice: OrderingChoice,
+}
+
+/// One recorded probe in a [`PlanCache`]: scale, pattern fingerprint, and
+/// the ordering selection made there.
+#[derive(Debug)]
+struct CacheEntry {
+    scale: Scale,
+    fingerprint: u64,
+    /// The ordering mode the entry was built under: a forced-AMD build
+    /// must never hand its order to a Markowitz-mode plan or vice versa.
+    mode: OrderingMode,
+    selection: PlanSelection,
 }
 
 /// Shares recorded pivot orders between [`SweepPlan`]s of the **same
@@ -347,20 +401,6 @@ struct PlanSelection {
 ///
 /// The cache is `Sync`; lookups and stores are lock-protected and happen
 /// at plan-build time (never inside point evaluation).
-/// One recorded probe in a [`PlanCache`]: scale, pattern fingerprint, the
-/// recorded pivot order, and the symbolic kernel compiled from it.
-#[derive(Debug)]
-struct CacheEntry {
-    scale: Scale,
-    fingerprint: u64,
-    /// The ordering mode the entry was built under: a forced-AMD build
-    /// must never hand its order to a Markowitz-mode plan or vice versa.
-    mode: OrderingMode,
-    order: PivotOrder,
-    program: Option<Arc<FactorProgram>>,
-    choice: OrderingChoice,
-}
-
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: Mutex<Vec<CacheEntry>>,
@@ -436,25 +476,12 @@ impl PlanCache {
             .find(|e| e.fingerprint == fingerprint && e.mode == mode && Self::close(e.scale, scale))
         {
             self.shared.fetch_add(1, Ordering::Relaxed);
-            return Some(PlanSelection {
-                order: entry.order.clone(),
-                program: entry.program.clone(),
-                choice: entry.choice,
-            });
+            return Some(entry.selection.clone());
         }
         self.searches.fetch_add(1, Ordering::Relaxed);
         let selection = build()?;
-        if selection.program.is_some() {
-            self.compiled.fetch_add(1, Ordering::Relaxed);
-        }
-        entries.push(CacheEntry {
-            scale,
-            fingerprint,
-            mode,
-            order: selection.order.clone(),
-            program: selection.program.clone(),
-            choice: selection.choice,
-        });
+        self.compiled.fetch_add(1, Ordering::Relaxed);
+        entries.push(CacheEntry { scale, fingerprint, mode, selection: selection.clone() });
         Some(selection)
     }
 }
@@ -463,7 +490,7 @@ impl PlanCache {
 /// every stamped `(row, col)` position, value-independent): the identity
 /// [`PlanCache`] shares pivot orders under. Same-topology variants hash
 /// identically; same-dimension circuits of different structure do not.
-fn pattern_fingerprint(dim: usize, pattern: &[(usize, usize, Complex, Complex)]) -> u64 {
+fn pattern_fingerprint(dim: usize, pattern: &[PatternEntry]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         h ^= x;
@@ -481,16 +508,13 @@ fn pattern_fingerprint(dim: usize, pattern: &[(usize, usize, Complex, Complex)])
 /// deduplicated and sorted by position. Shared with the transient engine
 /// ([`crate::transient`]), whose companion matrix is this same pattern
 /// evaluated at one real point `s = γ`.
-pub(crate) fn affine_pattern(
-    sys: &MnaSystem,
-    scale: Scale,
-) -> (usize, Vec<(usize, usize, Complex, Complex)>) {
+pub(crate) fn affine_pattern(sys: &MnaSystem, scale: Scale) -> (usize, Vec<PatternEntry>) {
     // Every stamp is affine in s: sample the assembly at s = 0 and s = 1
     // and difference the aligned raw entry lists.
     let t0 = sys.assemble(Complex::ZERO, scale);
     let t1 = sys.assemble(Complex::ONE, scale);
     debug_assert_eq!(t0.raw_len(), t1.raw_len(), "stamp order must be deterministic");
-    let mut pattern: Vec<(usize, usize, Complex, Complex)> = t0
+    let mut pattern: Vec<PatternEntry> = t0
         .entries()
         .iter()
         .zip(t1.entries())
@@ -502,8 +526,9 @@ pub(crate) fn affine_pattern(
     // Merge duplicate positions once at build time (MNA stamping hits a
     // node diagonal once per connected element; affinity in `s` is
     // preserved under addition), and keep the pattern sorted so each
-    // evaluation scatters pre-deduplicated, pre-ordered rows into the
-    // workspace — the per-point duplicate merge degenerates to a scan.
+    // evaluation stamps one pre-ordered entry per position — into the
+    // compiled kernel's slots, or the triplets of a fallback
+    // factorization.
     pattern.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
     let mut w = 0usize;
     for i in 0..pattern.len() {
@@ -524,7 +549,7 @@ pub(crate) fn affine_pattern(
 /// radian — an irrational fraction of the circle, so it never coincides
 /// with a DFT sampling point), recording the pivot order every evaluation
 /// will replay. `None` when the probe is singular.
-fn probe_order(dim: usize, pattern: &[(usize, usize, Complex, Complex)]) -> Option<PivotOrder> {
+fn probe_order(dim: usize, pattern: &[PatternEntry]) -> Option<PivotOrder> {
     probe_order_at(dim, pattern, Complex::new(1f64.cos(), 1f64.sin()))
 }
 
@@ -533,7 +558,7 @@ fn probe_order(dim: usize, pattern: &[(usize, usize, Complex, Complex)]) -> Opti
 /// `s = γ` — the exact matrix every step replays.
 pub(crate) fn probe_order_at(
     dim: usize,
-    pattern: &[(usize, usize, Complex, Complex)],
+    pattern: &[PatternEntry],
     probe: Complex,
 ) -> Option<PivotOrder> {
     let mut probe_t = Triplets::new(dim);
@@ -541,22 +566,6 @@ pub(crate) fn probe_order_at(
         probe_t.add(r, c, k0 + probe * k1);
     }
     SparseLu::factor(&probe_t).ok().map(|lu| lu.order().clone())
-}
-
-/// Compiles the symbolic kernel for `(pattern, order)`. `None` when a
-/// prescribed pivot is structurally absent — which cannot happen for an
-/// order the probe just recorded on this very pattern, and those are the
-/// only orders compiled: [`PlanCache`] hits hand out the *stored* program
-/// without recompiling, safe because cache entries are keyed by the
-/// positions-only pattern fingerprint (identical positions ⇒ identical
-/// symbolic analysis).
-pub(crate) fn compile_program(
-    dim: usize,
-    pattern: &[(usize, usize, Complex, Complex)],
-    order: &PivotOrder,
-) -> Option<FactorProgram> {
-    let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
-    FactorProgram::compile(dim, &positions, order).ok()
 }
 
 /// Auto-mode trigger: attempt AMD only when the Markowitz probe order's
@@ -570,17 +579,16 @@ fn amd_fill_threshold(dim: usize, nnz: usize) -> usize {
 /// The full ordering selection for one `(pattern, mode)`: probe
 /// Markowitz, then — per mode — evaluate the AMD alternative and adopt it
 /// if it compiles, factors the probe point, and (in Auto mode) actually
-/// reduces fill. Returns `None` only when the probe factorization itself
-/// is singular (the plan then carries no order and every point pays a
-/// fresh Markowitz factorization, exactly as before).
+/// reduces fill. Returns `None` when the probe factorization itself is
+/// singular, or no order it leads to compiles (the plan then carries no
+/// order and every point pays a fresh Markowitz factorization).
 fn select_ordering(
     dim: usize,
-    pattern: &[(usize, usize, Complex, Complex)],
+    pattern: &[PatternEntry],
     mode: OrderingMode,
 ) -> Option<PlanSelection> {
-    let order = probe_order(dim, pattern)?;
-    let program = compile_program(dim, pattern, &order).map(Arc::new);
-    let markowitz_fill = program.as_ref().map(|p| p.fill_in());
+    let markowitz = CompiledOrder::compile(dim, pattern, probe_order(dim, pattern)?);
+    let markowitz_fill = markowitz.as_ref().map(|m| m.program.fill_in());
     let attempt = match mode {
         OrderingMode::Markowitz => false,
         OrderingMode::Amd => true,
@@ -589,8 +597,8 @@ fn select_ordering(
         }
     };
     if attempt {
-        if let Some((amd_order, amd_program)) = try_amd_program(dim, pattern) {
-            let amd_fill = amd_program.fill_in();
+        if let Some(amd) = try_amd(dim, pattern) {
+            let amd_fill = amd.program.fill_in();
             let adopt = match mode {
                 OrderingMode::Amd => true,
                 _ => markowitz_fill.is_none_or(|f| amd_fill < f),
@@ -600,19 +608,12 @@ fn select_ordering(
                 markowitz_fill,
                 amd_fill: Some(amd_fill),
             };
-            if adopt {
-                return Some(PlanSelection {
-                    order: amd_order,
-                    program: Some(Arc::new(amd_program)),
-                    choice,
-                });
-            }
-            return Some(PlanSelection { order, program, choice });
+            let compiled = if adopt { amd } else { markowitz? };
+            return Some(PlanSelection { compiled, choice });
         }
     }
     Some(PlanSelection {
-        order,
-        program,
+        compiled: markowitz?,
         choice: OrderingChoice {
             selected: SelectedOrdering::Markowitz,
             markowitz_fill,
@@ -625,25 +626,25 @@ fn select_ordering(
 /// numerically at the generic probe point (the prescribed diagonal pivots
 /// must exist in the filled pattern *and* be numerically nonzero there).
 /// `None` means AMD is unusable on this pattern — keep Markowitz.
-fn try_amd_program(
-    dim: usize,
-    pattern: &[(usize, usize, Complex, Complex)],
-) -> Option<(PivotOrder, FactorProgram)> {
+fn try_amd(dim: usize, pattern: &[PatternEntry]) -> Option<CompiledOrder> {
     let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
-    let order = refgen_sparse::ordering::minimum_degree(dim, &positions);
-    let program = FactorProgram::compile(dim, &positions, &order).ok()?;
+    let amd = CompiledOrder::compile(
+        dim,
+        pattern,
+        refgen_sparse::ordering::minimum_degree(dim, &positions),
+    )?;
     let probe = Complex::new(1f64.cos(), 1f64.sin());
     let mut scratch = ProgramScratch::new();
-    program
+    amd.program
         .refactor_values(pattern.iter().map(|&(_, _, k0, k1)| k0 + probe * k1), &mut scratch)
         .ok()?;
-    Some((order, program))
+    Some(amd)
 }
 
 /// `true` when the affine pattern and RHS are entirely real, so the
 /// evaluated matrix satisfies `A(s̄) = conj(A(s))` and every derived
 /// quantity is conjugate-equivariant.
-fn pattern_is_real(pattern: &[(usize, usize, Complex, Complex)], rhs: &[Complex]) -> bool {
+fn pattern_is_real(pattern: &[PatternEntry], rhs: &[Complex]) -> bool {
     pattern.iter().all(|&(_, _, k0, k1)| k0.im == 0.0 && k1.im == 0.0)
         && rhs.iter().all(|v| v.im == 0.0)
 }
@@ -786,7 +787,7 @@ impl SweepPlan {
         let same_structure = pattern.len() == self.pattern.len()
             && pattern
                 .iter()
-                .zip(&self.pattern)
+                .zip(self.pattern.iter())
                 .all(|(&(r1, c1, _, _), &(r2, c2, _, _))| (r1, c1) == (r2, c2));
         if !same_structure {
             return Err(MnaError::TopologyMismatch { expected: self.dim, actual: dim });
@@ -806,16 +807,14 @@ impl SweepPlan {
         Ok(SweepPlan {
             dim,
             scale: self.scale,
-            pattern,
+            pattern: pattern.into(),
             rhs,
-            order: self.order.clone(),
             // Symbolic analysis is value-independent: the variant replays
             // the exact same compiled kernel, no recompilation.
-            program: self.program.clone(),
+            selection: self.selection.clone(),
             conjugate_symmetric,
             drive,
             input: self.input.clone(),
-            ordering: self.ordering,
         })
     }
 
@@ -837,23 +836,17 @@ impl SweepPlan {
             }
             None => select_ordering(dim, &pattern, mode),
         };
-        let (order, program, ordering) = match selection {
-            Some(sel) => (Some(sel.order), sel.program, Some(sel.choice)),
-            None => (None, None, None),
-        };
         let rhs = sys.rhs();
         let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
         SweepPlan {
             dim,
             scale,
-            pattern,
+            pattern: pattern.into(),
             rhs,
-            order,
-            program,
+            selection,
             conjugate_symmetric,
             drive,
             input,
-            ordering,
         }
     }
 
@@ -867,30 +860,35 @@ impl SweepPlan {
         self.dim
     }
 
-    /// The pivot order recorded by the probe factorization (`None` when
-    /// the probe was singular).
+    /// The pivot order this plan replays (`None` when the probe was
+    /// singular).
     pub fn order(&self) -> Option<&PivotOrder> {
-        self.order.as_ref()
+        self.selection.as_ref().map(|sel| &sel.compiled.order)
     }
 
     /// The compiled symbolic kernel this plan evaluates through (`None`
     /// when the probe was singular). Rebinds and cache hits share one
     /// program by reference — compare with [`std::ptr::eq`] to verify.
     pub fn program(&self) -> Option<&FactorProgram> {
-        self.program.as_deref()
+        self.kernel().map(|p| &**p)
     }
 
     /// The outcome of this plan's ordering selection: which ordering was
     /// adopted and the fill figures that drove the choice (`None` when
     /// the probe factorization was singular and no order exists).
     pub fn ordering_choice(&self) -> Option<OrderingChoice> {
-        self.ordering
+        self.selection.as_ref().map(|sel| sel.choice)
+    }
+
+    /// The shared handle of [`SweepPlan::program`].
+    fn kernel(&self) -> Option<&Arc<FactorProgram>> {
+        self.selection.as_ref().map(|sel| &sel.compiled.program)
     }
 
     /// `true` when this plan replays a kernel compiled from the AMD
     /// ordering.
     fn amd_selected(&self) -> bool {
-        matches!(self.ordering, Some(OrderingChoice { selected: SelectedOrdering::Amd, .. }))
+        self.ordering_choice().is_some_and(|c| c.selected == SelectedOrdering::Amd)
     }
 
     /// `true` when the plan's affine pattern `K₀ + s·K₁` and RHS are
@@ -906,89 +904,56 @@ impl SweepPlan {
     /// Stamps `A(s)` into the scratch's reused triplet buffer.
     fn assemble_into(&self, s: Complex, t: &mut Triplets) {
         t.reset(self.dim);
-        for &(r, c, k0, k1) in &self.pattern {
+        for &(r, c, k0, k1) in self.pattern.iter() {
             t.add(r, c, k0 + s * k1);
         }
     }
 
-    /// Factors at `s`, cheapest usable path first: compiled-kernel replay
-    /// (flat instruction stream, no triplet assembly at all), then
-    /// workspace replay of an adopted or recorded pivot order — rung 0 of
-    /// the singular-recovery ladder. A replay that reports a singular
-    /// pivot escalates through [`SweepPlan::recover`] (fresh Markowitz,
-    /// then the alternate-ordering recompile) before the point is allowed
-    /// to fail.
+    /// Factors at `s`: a compiled-kernel replay (flat instruction stream,
+    /// no triplet assembly at all) of the scratch's adoption for this plan
+    /// or else the plan's own kernel — rung 0 of the singular-recovery
+    /// ladder. A replay that reports a singular pivot escalates through
+    /// [`SweepPlan::recover`] (fresh Markowitz, then the
+    /// alternate-ordering recompile) before the point is allowed to fail;
+    /// a plan without a kernel starts there.
     fn factor(
         &self,
         s: Complex,
         scratch: &mut SweepScratch,
     ) -> Result<Factored, refgen_sparse::FactorError> {
         let s = faults::poison_point(s);
-        // An adopted fallback order (sequential sweeps only) supersedes the
-        // plan's own order *and* its compiled kernel: the kernel encodes
-        // the stale order that just died. The adopted order was compiled
-        // at adoption time, so its replay is a flat stream too — the
-        // workspace only serves if that compilation failed or the scratch
-        // carries an adoption from a structurally different plan.
-        if scratch.adopt_on_fallback && scratch.adopted.is_some() {
-            if let Some(program) = scratch
-                .adopted_program
-                .as_ref()
-                .filter(|p| p.dim() == self.dim && p.raw_entries() == self.pattern.len())
-                .cloned()
-            {
-                let replay = program.refactor_values(
-                    self.pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1),
-                    &mut scratch.prog,
-                );
-                if replay.is_ok() && !faults::poison_replay() {
-                    scratch.stats.refactor_hits += 1;
-                    scratch.stats.compiled_hits += 1;
-                    return Ok(Factored::Program(program));
-                }
-                self.assemble_into(s, &mut scratch.triplets);
-                return self.recover(s, scratch, true);
-            }
+        // An order this plan adopted on an earlier fallback (sequential
+        // sweeps only) supersedes the plan's own kernel, which encodes the
+        // order that died. An adoption made on another plan is ignored.
+        let adopted = scratch
+            .adopted
+            .as_ref()
+            .filter(|a| Arc::ptr_eq(&a.plan, &self.pattern))
+            .map(|a| Arc::clone(&a.program));
+        let own = adopted.is_none();
+        let Some(program) = adopted.or_else(|| self.kernel().cloned()) else {
+            // No prescribed order at all (singular probe): rung 0 was never
+            // attempted, so a rung-1 success is not a recovery.
             self.assemble_into(s, &mut scratch.triplets);
-            let ord = scratch.adopted.as_ref().expect("checked above");
-            let replayed = SparseLu::refactor_into(&scratch.triplets, ord, &mut scratch.ws);
-            if replayed.is_ok() && !faults::poison_replay() {
-                scratch.stats.refactor_hits += 1;
-                return Ok(Factored::Workspace);
+            return self.recover(s, scratch, false);
+        };
+        // Stamp K₀ + s·K₁ straight into the program's slot array — no
+        // triplet buffer, no sort, no search, no insert, no alloc.
+        let replay = program.refactor_values(
+            self.pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1),
+            &mut scratch.prog,
+        );
+        if replay.is_ok() && !faults::poison_replay() {
+            scratch.stats.refactor_hits += 1;
+            scratch.stats.compiled_hits += 1;
+            if own && self.amd_selected() {
+                scratch.stats.amd_replays += 1;
             }
-            return self.recover(s, scratch, true);
+            return Ok(Factored::Program(program));
         }
-        if let Some(program) = self.program.as_ref() {
-            // Stamp K₀ + s·K₁ straight into the program's slot array — no
-            // triplet buffer, no sort, no search, no insert, no alloc.
-            let replay = program.refactor_values(
-                self.pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1),
-                &mut scratch.prog,
-            );
-            if replay.is_ok() && !faults::poison_replay() {
-                scratch.stats.refactor_hits += 1;
-                scratch.stats.compiled_hits += 1;
-                if self.amd_selected() {
-                    scratch.stats.amd_replays += 1;
-                }
-                return Ok(Factored::Program(Arc::clone(program)));
-            }
-            // Compiled replay died (exact zero pivot): climb the ladder.
-            self.assemble_into(s, &mut scratch.triplets);
-            return self.recover(s, scratch, true);
-        } else if let Some(ord) = self.order.as_ref() {
-            self.assemble_into(s, &mut scratch.triplets);
-            let replayed = SparseLu::refactor_into(&scratch.triplets, ord, &mut scratch.ws);
-            if replayed.is_ok() && !faults::poison_replay() {
-                scratch.stats.refactor_hits += 1;
-                return Ok(Factored::Workspace);
-            }
-            return self.recover(s, scratch, true);
-        }
-        // No prescribed order at all (singular probe): rung 0 was never
-        // attempted, so a rung-1 success is not a recovery.
+        // Compiled replay died (exact zero pivot): climb the ladder.
         self.assemble_into(s, &mut scratch.triplets);
-        self.recover(s, scratch, false)
+        self.recover(s, scratch, true)
     }
 
     /// Rungs 1–2 of the singular-recovery ladder; `scratch.triplets` must
@@ -1020,14 +985,14 @@ impl SweepPlan {
                     scratch.stats.recovered_fresh += 1;
                 }
                 if scratch.adopt_on_fallback {
-                    scratch.adopted = Some(lu.order().clone());
-                    // Compile the adopted order once, at adoption — the
-                    // rest of the sweep replays a flat instruction stream
-                    // instead of the structural workspace path. Cannot
-                    // fail symbolically: the order was just recorded on
-                    // this very pattern.
-                    scratch.adopted_program =
-                        compile_program(self.dim, &self.pattern, lu.order()).map(Arc::new);
+                    // Compile the adopted order once, at adoption, so the
+                    // rest of the sweep replays a flat instruction stream.
+                    // Cannot fail symbolically: the order was just
+                    // recorded on this very pattern.
+                    scratch.adopted =
+                        CompiledOrder::compile(self.dim, &self.pattern, lu.order().clone()).map(
+                            |c| Adoption { plan: Arc::clone(&self.pattern), program: c.program },
+                        );
                 }
                 Ok(Factored::Fresh(lu))
             }
@@ -1060,12 +1025,12 @@ impl SweepPlan {
     /// this point), so nothing is cached: the result is a pure function of
     /// the plan, keeping recovery deterministic at any thread count.
     fn alternate_program(&self) -> Option<Arc<FactorProgram>> {
-        if self.amd_selected() {
-            let order = probe_order(self.dim, &self.pattern)?;
-            compile_program(self.dim, &self.pattern, &order).map(Arc::new)
+        let alternate = if self.amd_selected() {
+            CompiledOrder::compile(self.dim, &self.pattern, probe_order(self.dim, &self.pattern)?)
         } else {
-            try_amd_program(self.dim, &self.pattern).map(|(_, program)| Arc::new(program))
-        }
+            try_amd(self.dim, &self.pattern)
+        };
+        alternate.map(|c| c.program)
     }
 
     /// Determinant `D(s)` of the (scaled) MNA matrix — the denominator
@@ -1074,7 +1039,6 @@ impl SweepPlan {
     pub fn eval_det(&self, s: Complex, scratch: &mut SweepScratch) -> ExtComplex {
         match self.factor(s, scratch) {
             Ok(Factored::Program(_)) => scratch.prog.det(),
-            Ok(Factored::Workspace) => scratch.ws.det(),
             Ok(Factored::Fresh(lu)) => lu.det(),
             Err(_) => ExtComplex::ZERO,
         }
@@ -1104,11 +1068,6 @@ impl SweepPlan {
                 let (prog, x) = (&mut scratch.prog, &mut scratch.x);
                 program.solve_into(prog, &self.rhs, x);
                 (prog.det(), drive.response_from(x))
-            }
-            Ok(Factored::Workspace) => {
-                let (ws, x) = (&mut scratch.ws, &mut scratch.x);
-                ws.solve_into(&self.rhs, x);
-                (ws.det(), drive.response_from(x))
             }
             Ok(Factored::Fresh(lu)) => {
                 let x = lu.solve(&self.rhs);
@@ -1144,7 +1103,7 @@ impl SweepPlan {
     ) -> Vec<Result<TransferResponse, MnaError>> {
         let drive = self.drive.as_ref().expect("determinant-only plan cannot evaluate a transfer");
         assert!(!sigmas.is_empty(), "batch needs at least one point");
-        let Some(program) = self.program.as_deref() else {
+        let Some(program) = self.program() else {
             return sigmas.iter().map(|&s| self.eval_at(s, &mut scratch.fallback)).collect();
         };
         let lanes = sigmas.len();
@@ -1204,7 +1163,7 @@ impl SweepPlan {
         scratch: &mut SweepBatchScratch,
     ) -> Vec<ExtComplex> {
         assert!(!sigmas.is_empty(), "batch needs at least one point");
-        let Some(program) = self.program.as_deref() else {
+        let Some(program) = self.program() else {
             return sigmas.iter().map(|&s| self.eval_det(s, &mut scratch.fallback)).collect();
         };
         program.refactor_batch(
@@ -1271,7 +1230,7 @@ impl SweepPlan {
         scratch: &mut HybridScratch,
     ) -> Result<Complex, MnaError> {
         let drive = self.drive.as_ref().expect("determinant-only plan cannot evaluate a transfer");
-        let Some(program) = self.program.as_ref() else {
+        let Some(program) = self.kernel() else {
             // No compiled kernel (singular probe): the sequential direct
             // path is all there is.
             scratch.stats.fallbacks += 1;
@@ -1340,7 +1299,7 @@ impl SweepPlan {
         // like the direct one (NaN·0 = NaN turns every stamp non-finite).
         let sp = faults::poison_point(s);
         let HybridScratch { anchor_prog, gmres, tmp, x, .. } = scratch;
-        let pattern = &self.pattern;
+        let pattern = &*self.pattern;
         let report = gmres_solve(
             &self.rhs,
             x,
@@ -1600,10 +1559,10 @@ impl<'a> FleetSampler<'a> {
     /// this).
     pub fn new(plans: &[&'a SweepPlan]) -> FleetSampler<'a> {
         assert!(!plans.is_empty(), "fleet needs at least one variant");
-        let first = plans[0].program.clone().expect("fleet plans must carry a compiled program");
+        let first = plans[0].kernel().cloned().expect("fleet plans must carry a compiled program");
         for p in plans {
             assert!(
-                p.program.as_ref().is_some_and(|pp| Arc::ptr_eq(pp, &first)),
+                p.kernel().is_some_and(|pp| Arc::ptr_eq(pp, &first)),
                 "fleet plans must share one compiled program (rebind or plan through one PlanCache)"
             );
             assert!(p.drive.is_some(), "determinant-only plan cannot evaluate a transfer");
@@ -1699,8 +1658,8 @@ mod tests {
             let nrel = ((fast.numerator - slow.numerator).norm() / slow.numerator.norm()).to_f64();
             assert!(nrel < 1e-9, "numerator at point {k}: rel {nrel:.2e}");
         }
-        // Every point replayed the probe's pivot order — and every replay
-        // ran the compiled kernel, not the workspace path.
+        // Every point replayed the probe's pivot order through the
+        // compiled kernel.
         assert_eq!(scratch.stats().refactor_hits, 16);
         assert_eq!(scratch.stats().compiled_hits, 16);
         assert_eq!(scratch.stats().fresh_factorizations, 0);
@@ -1772,27 +1731,38 @@ mod tests {
     /// vanishes at DC. An adopting scratch must pay the fallback pivot
     /// search once and then replay the *new* order, not re-fail the stale
     /// one at every remaining point.
-    #[test]
-    fn adopting_scratch_replaces_stale_order_on_fallback() {
+    /// A dim-4 circuit whose node `a` diagonal is purely capacitive at DC:
+    /// the VCCS's gm exactly cancels the two conductances there, so the
+    /// probe order (which pivots on that diagonal) dies at `s = 0`.
+    fn vccs_cancelled() -> Circuit {
         let mut c = Circuit::new();
         c.add_vsource("VIN", "in", "0", 1.0).unwrap();
         c.add_resistor("R1", "in", "a", 1e3).unwrap();
         c.add_capacitor("C1", "a", "0", 1.0).unwrap();
-        // gm exactly cancels the two conductances on node a's diagonal.
         c.add_vccs("G1", "a", "0", "a", "0", -2e-3).unwrap();
         c.add_resistor("R3", "a", "b", 1e3).unwrap();
         c.add_resistor("R4", "b", "0", 1e3).unwrap();
-        let sys = MnaSystem::new(&c).unwrap();
-        // Pinned to the probe order: this test documents Markowitz-probe
-        // pivot mechanics (the DC-vanishing capacitor diagonal), which a
-        // forced AMD environment would order around.
-        let plan = SweepPlan::new_with_ordering(
-            &sys,
+        c
+    }
+
+    /// The [`vccs_cancelled`] plan, pinned to the probe order: the tests
+    /// using it document Markowitz-probe pivot mechanics (the
+    /// DC-vanishing capacitor diagonal), which a forced AMD environment
+    /// would order around.
+    fn vccs_cancelled_plan(sys: &MnaSystem) -> SweepPlan {
+        SweepPlan::new_with_ordering(
+            sys,
             Scale::unit(),
             &TransferSpec::voltage_gain("VIN", "b"),
             OrderingMode::Markowitz,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn adopting_scratch_replaces_stale_order_on_fallback() {
+        let sys = MnaSystem::new(&vccs_cancelled()).unwrap();
+        let plan = vccs_cancelled_plan(&sys);
 
         // Sanity: the probe (|s| = 1, so |s·C| = 1 dominates the mS-range
         // conductances) pivots on node a's capacitor-only diagonal.
@@ -1815,11 +1785,8 @@ mod tests {
         assert_eq!(stats.refactor_hits, 5);
         // The adopted order is *compiled* at adoption: the probe point ran
         // the plan's kernel (1) and all four post-fallback DC points ran
-        // the adopted kernel (4) — no workspace replays left.
-        assert_eq!(
-            stats.compiled_hits, 5,
-            "adopted-order replays must run the compiled kernel, not the workspace"
-        );
+        // the adopted kernel (4).
+        assert_eq!(stats.compiled_hits, 5, "adopted-order replays must run the compiled kernel");
 
         // A non-adopting scratch (deterministic batch mode) keeps replaying
         // the plan order by design, paying the fallback at every DC point.
@@ -2067,14 +2034,7 @@ mod tests {
     /// the adopted kernel as a fresh factorization of each point would.
     #[test]
     fn adopted_order_kernel_reproduces_fresh_values() {
-        let mut c = Circuit::new();
-        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
-        c.add_resistor("R1", "in", "a", 1e3).unwrap();
-        c.add_capacitor("C1", "a", "0", 1.0).unwrap();
-        c.add_vccs("G1", "a", "0", "a", "0", -2e-3).unwrap();
-        c.add_resistor("R3", "a", "b", 1e3).unwrap();
-        c.add_resistor("R4", "b", "0", 1e3).unwrap();
-        let sys = MnaSystem::new(&c).unwrap();
+        let sys = MnaSystem::new(&vccs_cancelled()).unwrap();
         let spec = TransferSpec::voltage_gain("VIN", "b");
         let plan = SweepPlan::new(&sys, Scale::unit(), &spec).unwrap();
 
@@ -2094,6 +2054,56 @@ mod tests {
         let after = adopting.stats();
         assert_eq!(after.compiled_hits - before.compiled_hits, 4);
         assert_eq!(after.fresh_factorizations, before.fresh_factorizations);
+    }
+
+    /// An adoption applies only to the plan that made it. A scratch that
+    /// adopted a fallback order on the dim-4 [`vccs_cancelled`] plan and
+    /// then serves a dim-6 ladder plan must replay the ladder's own kernel
+    /// at every point — no spurious recovery, no fresh factorization, and
+    /// responses bit-equal to a fresh scratch's. A rebound variant of the
+    /// adopting plan is another plan too: its own kernel dies at `s = 0`
+    /// and recovers exactly as on a fresh scratch.
+    #[test]
+    fn adoption_stays_with_the_plan_that_made_it() {
+        let sys = MnaSystem::new(&vccs_cancelled()).unwrap();
+        let vccs = vccs_cancelled_plan(&sys);
+        let mut adopting = SweepScratch::adopting();
+        vccs.eval_at(Complex::ZERO, &mut adopting).unwrap();
+        assert_eq!(adopting.stats().recovered_fresh, 1, "the dim-4 plan dies at DC and adopts");
+
+        let ladder = SweepPlan::new(
+            &MnaSystem::new(&rc_ladder(4, 1e3, 1e-9)).unwrap(),
+            Scale::unit(),
+            &spec(),
+        )
+        .unwrap();
+        assert_ne!(ladder.dim(), vccs.dim());
+        adopting.reset_stats();
+        let mut fresh = SweepScratch::adopting();
+        for k in 0..8 {
+            let s = Complex::new(0.0, 1e5 * (k + 1) as f64);
+            let got = ladder.eval_at(s, &mut adopting).unwrap();
+            let want = ladder.eval_at(s, &mut fresh).unwrap();
+            assert_eq!(got.response, want.response, "response at point {k}");
+            assert_eq!(got.denominator, want.denominator, "determinant at point {k}");
+        }
+        let stats = adopting.stats();
+        assert_eq!(stats.recovered_fresh, 0, "no spurious recovery");
+        assert_eq!(stats.fresh_factorizations, 0);
+        assert_eq!(stats.refactor_hits, 8);
+        assert_eq!(stats.compiled_hits, 8);
+        assert_eq!(stats, fresh.stats());
+
+        // Same pattern, other plan: the variant's own kernel meets the DC
+        // zero pivot, exactly as it would on a scratch that never adopted.
+        let variant = vccs.rebind(&sys).unwrap();
+        let mut fresh = SweepScratch::adopting();
+        adopting.reset_stats();
+        let got = variant.eval_at(Complex::ZERO, &mut adopting).unwrap();
+        let want = variant.eval_at(Complex::ZERO, &mut fresh).unwrap();
+        assert_eq!(got.response, want.response);
+        assert_eq!(adopting.stats(), fresh.stats());
+        assert_eq!(adopting.stats().recovered_fresh, 1);
     }
 
     /// `eval_batch` / `eval_det_batch` over any lane width are bit-identical

@@ -12,10 +12,6 @@
 //!   refactorization across interpolation points, solve, and a determinant
 //!   accumulated as an [`ExtComplex`](refgen_numeric::ExtComplex) so products of pivots spanning
 //!   hundreds of decades never overflow.
-//! * [`LuWorkspace`] — the allocation-reusing steady-state path:
-//!   [`SparseLu::refactor_into`] replays a recorded pivot order into
-//!   retained buffers and [`LuWorkspace::solve_into`] solves without
-//!   allocating, so a sweep's per-point cost is pure arithmetic.
 //! * [`FactorProgram`] — the compiled symbolic kernel: fill-in pattern,
 //!   slot layout, and elimination instruction stream precomputed once per
 //!   `(pattern, order)`, so each numeric point is scatter-then-replay with
@@ -82,7 +78,6 @@
 //!                                                         │ → x              │
 //!                                                         └──────────────────┘
 //!  SparseLu::factor ────────────▶ does all three per call (probe / fallback)
-//!  SparseLu::refactor_into ─────▶ numeric + solve, structural tax per point
 //!  FactorProgram::refactor ─────▶ numeric + solve, structure fully compiled
 //! ```
 //!
@@ -157,7 +152,7 @@ pub mod triplets;
 
 pub use dense::DenseMatrix;
 pub use gmres::{GmresParams, GmresReport, GmresWorkspace};
-pub use lu::{FactorError, LuWorkspace, PivotOrder, SparseLu};
+pub use lu::{FactorError, PivotOrder, SparseLu};
 pub use ordering::minimum_degree;
 pub use symbolic::{BatchScratch, FactorProgram, ProgramScratch};
 pub use triplets::Triplets;
