@@ -35,6 +35,12 @@ fn main() {
     }
     let ua741 = snapshot.ns("refactor_ua741_fresh") / snapshot.ns("refactor_ua741_compiled");
     println!("\nµA741 compiled refactorization speedup vs fresh Markowitz: {ua741:.2}×");
+    println!(
+        "µA741 plan build: probe {:.1} µs, compile {:.1} µs, cache hit {:.1} µs",
+        snapshot.ns("plan_ua741_probe") / 1e3,
+        snapshot.ns("plan_ua741_compile") / 1e3,
+        snapshot.ns("plan_ua741_cached") / 1e3,
+    );
 
     std::fs::write(&out, snapshot.to_json()).expect("write trajectory");
     println!("wrote {out}");

@@ -730,7 +730,11 @@ fn bench_affine_pattern(
 ///   instruction-stream replay per point);
 /// * `session_ua741_mirror_{on,off}` — full adaptive `Session` solves of
 ///   the µA741, ns per interpolation point, mirroring on versus forced
-///   off.
+///   off;
+/// * `plan_ua741_{probe,compile,cached}` and `plan_mesh1024_probe` — ns
+///   per plan-build phase: the Markowitz ordering probe, the symbolic
+///   compile of its order, and a `PlanCache`-hit plan build of the
+///   µA741, and the ordering probe of the 32×32 RC mesh.
 ///
 /// The snapshot also records the [`PerfEnv`] (CPU feature flags seen by
 /// the batched kernel's runtime dispatch, configured lane width).
@@ -844,6 +848,91 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             median_ns_per_point: ns,
             points,
             reps,
+        });
+    }
+
+    // Plan-build rows (ROADMAP item 1), each in ns per build: the
+    // ordering probe a µA741 pivot search runs (a fresh Markowitz
+    // `SparseLu::factor` of the plan's merged probe matrix), the symbolic
+    // compile of the order it records, and a `PlanCache`-hit plan build
+    // (affine pattern from the system's stamp template, RHS, shared
+    // selection — what 16 of a session's 22 plan builds cost); plus the
+    // probe of the 32×32 RC mesh of the `mesh1024_*` rows.
+    {
+        use refgen_circuit::library::grid_rc_mesh;
+        use refgen_mna::{PlanCache, SweepPlan};
+        let probe_matrix = |sys: &refgen_mna::MnaSystem, scale: Scale| {
+            let merged = sys.assemble(Complex::new(1f64.cos(), 1f64.sin()), scale).to_rows();
+            let mut t = Triplets::new(sys.dim());
+            for (r, row) in merged.iter().enumerate() {
+                for (&c, &v) in row {
+                    t.add(r, c, v);
+                }
+            }
+            t
+        };
+        let sys = refgen_mna::MnaSystem::new(&circuits[1].1).expect("µA741 compiles");
+        let scale = Scale::new(1e9, 1e3);
+        let t = probe_matrix(&sys, scale);
+        let builds = 20usize;
+        let (ns, _) = median_ns_per_point(reps, builds, || {
+            (0..builds).map(|_| SparseLu::factor(&t).expect("probe factors").fill_in() as f64).sum()
+        });
+        rows.push(PerfRow {
+            name: "plan_ua741_probe".to_string(),
+            median_ns_per_point: ns,
+            points: builds,
+            reps,
+        });
+
+        let order = SparseLu::factor(&t).expect("probe factors").order().clone();
+        let positions: Vec<(usize, usize)> = t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+        let (ns, _) = median_ns_per_point(reps, builds, || {
+            (0..builds)
+                .map(|_| {
+                    FactorProgram::compile(sys.dim(), &positions, &order).expect("compiles").slots()
+                        as f64
+                })
+                .sum()
+        });
+        rows.push(PerfRow {
+            name: "plan_ua741_compile".to_string(),
+            median_ns_per_point: ns,
+            points: builds,
+            reps,
+        });
+
+        let spec = standard_spec();
+        let cache = PlanCache::new();
+        SweepPlan::new_cached(&sys, scale, &spec, &cache).expect("µA741 plans");
+        let (ns, _) = median_ns_per_point(reps, builds, || {
+            (0..builds)
+                .map(|_| {
+                    let plan = SweepPlan::new_cached(&sys, scale, &spec, &cache).expect("plans");
+                    plan.dim() as f64
+                })
+                .sum()
+        });
+        assert_eq!(cache.pivot_searches(), 1, "every timed build is a cache hit");
+        rows.push(PerfRow {
+            name: "plan_ua741_cached".to_string(),
+            median_ns_per_point: ns,
+            points: builds,
+            reps,
+        });
+
+        let mesh =
+            refgen_mna::MnaSystem::new(&grid_rc_mesh(32, 32, 9000 + 1024)).expect("mesh compiles");
+        let t = probe_matrix(&mesh, Scale::unit());
+        let mesh_reps = if quick { 2 } else { 7 };
+        let (ns, _) = median_ns_per_point(mesh_reps, 1, || {
+            SparseLu::factor(&t).expect("mesh probe factors").fill_in() as f64
+        });
+        rows.push(PerfRow {
+            name: "plan_mesh1024_probe".to_string(),
+            median_ns_per_point: ns,
+            points: 1,
+            reps: mesh_reps,
         });
     }
 
@@ -1070,6 +1159,10 @@ mod tests {
             "refactor_ua741_fresh",
             "refactor_ua741_compiled",
             "window_ua741_compiled_mirrored",
+            "plan_ua741_probe",
+            "plan_ua741_compile",
+            "plan_ua741_cached",
+            "plan_mesh1024_probe",
             "transient_ladder16_be",
             "transient_ladder16_tr",
             "transient_ua741_be",
@@ -1135,6 +1228,10 @@ mod tests {
             "refactor_ua741_fresh",
             "refactor_ua741_compiled",
             "window_ua741_compiled_mirrored",
+            "plan_ua741_probe",
+            "plan_ua741_compile",
+            "plan_ua741_cached",
+            "plan_mesh1024_probe",
             "fleet_ua741x64_scalar",
             "fleet_ua741x64_batched",
             "session_ua741_mirror_on",

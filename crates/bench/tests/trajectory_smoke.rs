@@ -1,9 +1,11 @@
-//! Mesh-scaling smoke over the committed perf trajectory: the
-//! `BENCH_sampling.json` at the repository root must carry every
-//! `mesh{256,1024,4096}_{markowitz,amd}_{direct,gmres}` row (a snapshot
-//! regenerated with an older binary would silently drop them) and its
-//! recorded mesh1024 hybrid ratio must show the anchored-GMRES path
-//! beating per-point direct refactorization.
+//! Smoke over the committed perf trajectory: the `BENCH_sampling.json` at
+//! the repository root must carry every
+//! `mesh{256,1024,4096}_{markowitz,amd}_{direct,gmres}` row and every
+//! plan-build row (`plan_ua741_{probe,compile,cached}`,
+//! `plan_mesh1024_probe`) — a snapshot regenerated with an older binary
+//! would silently drop them — and its recorded mesh1024 hybrid ratio must
+//! show the anchored-GMRES path beating per-point direct
+//! refactorization.
 
 /// Extracts the numeric value following `"key": ` in the flat trajectory
 /// JSON (the format is machine-written, so plain string scanning is
@@ -27,6 +29,11 @@ fn committed_trajectory_has_mesh_rows() {
                 assert!(json.contains(&row), "trajectory is missing the {row} mesh row");
             }
         }
+    }
+    for row in
+        ["plan_ua741_probe", "plan_ua741_compile", "plan_ua741_cached", "plan_mesh1024_probe"]
+    {
+        assert!(json.contains(&format!("\"{row}\"")), "trajectory is missing the {row} row");
     }
     let hybrid = derived_value(&json, "mesh1024_hybrid_speedup_vs_direct");
     assert!(

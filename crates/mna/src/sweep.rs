@@ -9,7 +9,9 @@
 //!
 //! * the **sparsity pattern** as an affine template `A(s) = K₀ + s·K₁`
 //!   (every MNA stamp is constant or linear in `s`), so per-point assembly
-//!   is one multiply-add per entry into a reused buffer;
+//!   is one multiply-add per entry into a reused buffer. Its positions,
+//!   summation order and fingerprint come from a stamp template the
+//!   system builds once, so each plan only evaluates the stamp values;
 //! * the **RHS template** (the excitation vector is frequency-independent);
 //! * a **pivot order** from one probe factorization together with the
 //!   **compiled symbolic kernel** ([`FactorProgram`]) built from
@@ -394,10 +396,14 @@ struct CacheEntry {
 /// adaptive windows — so variants share orders, while windows whose
 /// numeric balance genuinely differs each record their own.
 ///
-/// Pivot-order *replay* only fails on an exact-zero prescribed pivot, in
-/// which case the evaluation falls back to a fresh Markowitz factorization
-/// ([`SweepStats::fresh_factorizations`] counts these), so a shared order
-/// is an optimization, never a correctness hazard.
+/// Pivot-order *replay* only fails on an exact-zero prescribed pivot, and
+/// such a point climbs the two-rung singular-recovery ladder: rung 1 runs
+/// a fresh value-aware Markowitz factorization at the point, rung 2
+/// recompiles a kernel under the alternate ordering family (AMD ↔
+/// Markowitz). Rescues are counted in [`SweepStats::recovered_fresh`] and
+/// [`SweepStats::recovered_reordered`]; only a point where both rungs
+/// fail errors, as [`MnaError::Unrecoverable`]. So a shared order is an
+/// optimization, never a correctness hazard.
 ///
 /// The cache is `Sync`; lookups and stores are lock-protected and happen
 /// at plan-build time (never inside point evaluation).
@@ -486,63 +492,104 @@ impl PlanCache {
     }
 }
 
-/// FNV-1a fingerprint of a pattern's sparsity structure (dimension plus
-/// every stamped `(row, col)` position, value-independent): the identity
-/// [`PlanCache`] shares pivot orders under. Same-topology variants hash
-/// identically; same-dimension circuits of different structure do not.
-fn pattern_fingerprint(dim: usize, pattern: &[PatternEntry]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(dim as u64);
-    for &(r, c, _, _) in pattern {
-        mix(r as u64);
-        mix(c as u64);
+/// The scale-free stamp layout of one [`MnaSystem`], built once per
+/// system: every scale's affine pattern is then two value passes over the
+/// stamps and one summation in a recorded order — no assembly into
+/// triplets, no sort and no fingerprint per plan.
+#[derive(Clone, Debug)]
+pub(crate) struct StampTemplate {
+    /// Merged positions in ascending `(row, col)` order.
+    positions: Vec<(usize, usize)>,
+    /// `raw[starts[k]..starts[k + 1]]`: the raw stamps that merge into
+    /// position `k`, in the order the pattern sums them.
+    starts: Vec<usize>,
+    raw: Vec<usize>,
+    /// FNV-1a over the dimension and every merged position: the identity
+    /// [`PlanCache`] shares orders under.
+    fingerprint: u64,
+    rhs: Vec<Complex>,
+}
+
+impl StampTemplate {
+    pub(crate) fn new(sys: &MnaSystem) -> StampTemplate {
+        // Sorting pattern entries that carry their raw stamp index as the
+        // value, by the `(row, col)` key, records the order in which a
+        // sort-and-merge of the raw stamps sums each position: an unstable
+        // sort's permutation depends only on the keys it compares, so it
+        // is the same at every scale.
+        let mut raw_entries: Vec<PatternEntry> = sys
+            .assemble(Complex::ZERO, Scale::unit())
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(i, &(r, c, _))| (r, c, Complex::real(i as f64), Complex::ZERO))
+            .collect();
+        raw_entries.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
+        let mut positions: Vec<(usize, usize)> = Vec::new();
+        let mut starts = Vec::new();
+        for (k, &(r, c, _, _)) in raw_entries.iter().enumerate() {
+            if positions.last() != Some(&(r, c)) {
+                positions.push((r, c));
+                starts.push(k);
+            }
+        }
+        starts.push(raw_entries.len());
+        let raw = raw_entries.iter().map(|&(_, _, i, _)| i.re as usize).collect();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            h ^= x;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        mix(sys.dim() as u64);
+        for &(r, c) in &positions {
+            mix(r as u64);
+            mix(c as u64);
+        }
+        StampTemplate { positions, starts, raw, fingerprint: h, rhs: sys.rhs() }
     }
-    h
+
+    /// `true` when `pattern` stamps exactly the template's positions.
+    fn same_positions(&self, pattern: &[PatternEntry]) -> bool {
+        pattern.len() == self.positions.len()
+            && pattern.iter().zip(&self.positions).all(|(&(r, c, _, _), &p)| (r, c) == p)
+    }
 }
 
 /// Extracts the affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)`,
 /// deduplicated and sorted by position. Shared with the transient engine
 /// ([`crate::transient`]), whose companion matrix is this same pattern
 /// evaluated at one real point `s = γ`.
+///
+/// Every stamp is affine in `s`: each raw stamp value is evaluated at
+/// `s = 0` and `s = 1` (`K₁ = v₁ − v₀`), and duplicate positions — MNA
+/// stamping hits a node diagonal once per connected element — are summed
+/// in the template's recorded order, so each evaluation stamps one
+/// pre-ordered entry per position into the compiled kernel's slots or the
+/// triplets of a fallback factorization.
 pub(crate) fn affine_pattern(sys: &MnaSystem, scale: Scale) -> (usize, Vec<PatternEntry>) {
-    // Every stamp is affine in s: sample the assembly at s = 0 and s = 1
-    // and difference the aligned raw entry lists.
-    let t0 = sys.assemble(Complex::ZERO, scale);
-    let t1 = sys.assemble(Complex::ONE, scale);
-    debug_assert_eq!(t0.raw_len(), t1.raw_len(), "stamp order must be deterministic");
-    let mut pattern: Vec<PatternEntry> = t0
-        .entries()
+    let template = sys.stamp_template();
+    let mut v0 = Vec::with_capacity(template.raw.len());
+    let mut v1 = Vec::with_capacity(template.raw.len());
+    sys.stamp_values(Complex::ZERO, scale, &mut v0);
+    sys.stamp_values(Complex::ONE, scale, &mut v1);
+    let pattern = template
+        .positions
         .iter()
-        .zip(t1.entries())
-        .map(|(&(r0, c0, v0), &(r1, c1, v1))| {
-            debug_assert_eq!((r0, c0), (r1, c1), "stamp positions must align");
-            (r0, c0, v0, v1 - v0)
+        .enumerate()
+        .map(|(k, &(r, c))| {
+            let (first, rest) = template.raw[template.starts[k]..template.starts[k + 1]]
+                .split_first()
+                .expect("every merged position has a stamp");
+            let mut k0 = v0[*first];
+            let mut k1 = v1[*first] - v0[*first];
+            for &i in rest {
+                k0 += v0[i];
+                k1 += v1[i] - v0[i];
+            }
+            (r, c, k0, k1)
         })
         .collect();
-    // Merge duplicate positions once at build time (MNA stamping hits a
-    // node diagonal once per connected element; affinity in `s` is
-    // preserved under addition), and keep the pattern sorted so each
-    // evaluation stamps one pre-ordered entry per position — into the
-    // compiled kernel's slots, or the triplets of a fallback
-    // factorization.
-    pattern.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
-    let mut w = 0usize;
-    for i in 0..pattern.len() {
-        let (r, c, k0, k1) = pattern[i];
-        if w > 0 && pattern[w - 1].0 == r && pattern[w - 1].1 == c {
-            pattern[w - 1].2 += k0;
-            pattern[w - 1].3 += k1;
-        } else {
-            pattern[w] = (r, c, k0, k1);
-            w += 1;
-        }
-    }
-    pattern.truncate(w);
-    (t0.dim(), pattern)
+    (sys.dim(), pattern)
 }
 
 /// One probe factorization at a generic unit-circle point (angle of one
@@ -783,14 +830,9 @@ impl SweepPlan {
         if sys.dim() != self.dim {
             return Err(MnaError::TopologyMismatch { expected: self.dim, actual: sys.dim() });
         }
-        let (dim, pattern) = affine_pattern(sys, self.scale);
-        let same_structure = pattern.len() == self.pattern.len()
-            && pattern
-                .iter()
-                .zip(self.pattern.iter())
-                .all(|(&(r1, c1, _, _), &(r2, c2, _, _))| (r1, c1) == (r2, c2));
-        if !same_structure {
-            return Err(MnaError::TopologyMismatch { expected: self.dim, actual: dim });
+        let template = sys.stamp_template();
+        if !template.same_positions(&self.pattern) {
+            return Err(MnaError::TopologyMismatch { expected: self.dim, actual: sys.dim() });
         }
         let drive = match (&self.drive, &self.input) {
             (Some(drive), Some(input)) => {
@@ -802,7 +844,8 @@ impl SweepPlan {
             }
             _ => None,
         };
-        let rhs = sys.rhs();
+        let (dim, pattern) = affine_pattern(sys, self.scale);
+        let rhs = template.rhs.clone();
         let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
         Ok(SweepPlan {
             dim,
@@ -827,16 +870,14 @@ impl SweepPlan {
         mode: OrderingMode,
     ) -> SweepPlan {
         let (dim, pattern) = affine_pattern(sys, scale);
+        let template = sys.stamp_template();
         let selection = match cache {
-            Some(cache) => {
-                let fingerprint = pattern_fingerprint(dim, &pattern);
-                cache.selection_for(scale, fingerprint, mode, || {
-                    select_ordering(dim, &pattern, mode)
-                })
-            }
+            Some(cache) => cache.selection_for(scale, template.fingerprint, mode, || {
+                select_ordering(dim, &pattern, mode)
+            }),
             None => select_ordering(dim, &pattern, mode),
         };
-        let rhs = sys.rhs();
+        let rhs = template.rhs.clone();
         let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
         SweepPlan {
             dim,
@@ -1873,6 +1914,153 @@ mod tests {
             plan.rebind(&sys7),
             Err(MnaError::TopologyMismatch { expected, actual }) if expected + 1 == actual
         ));
+    }
+
+    /// The pattern extraction the stamp template replaced: two full
+    /// assemblies at `s = 0` and `s = 1`, aligned, sorted and merged.
+    fn two_assembly_pattern(sys: &MnaSystem, scale: Scale) -> (usize, Vec<PatternEntry>) {
+        let t0 = sys.assemble(Complex::ZERO, scale);
+        let t1 = sys.assemble(Complex::ONE, scale);
+        let mut pattern: Vec<PatternEntry> = t0
+            .entries()
+            .iter()
+            .zip(t1.entries())
+            .map(|(&(r0, c0, v0), &(r1, c1, v1))| {
+                assert_eq!((r0, c0), (r1, c1), "stamp positions must align");
+                (r0, c0, v0, v1 - v0)
+            })
+            .collect();
+        pattern.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
+        let mut w = 0usize;
+        for i in 0..pattern.len() {
+            let (r, c, k0, k1) = pattern[i];
+            if w > 0 && pattern[w - 1].0 == r && pattern[w - 1].1 == c {
+                pattern[w - 1].2 += k0;
+                pattern[w - 1].3 += k1;
+            } else {
+                pattern[w] = (r, c, k0, k1);
+                w += 1;
+            }
+        }
+        pattern.truncate(w);
+        (t0.dim(), pattern)
+    }
+
+    /// FNV-1a over the dimension and the merged positions, as the plan
+    /// cache keys entries.
+    fn reference_fingerprint(dim: usize, pattern: &[PatternEntry]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in std::iter::once(dim as u64)
+            .chain(pattern.iter().flat_map(|&(r, c, _, _)| [r as u64, c as u64]))
+        {
+            h ^= x;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    fn entry_bits(p: &[PatternEntry]) -> Vec<(usize, usize, [u64; 4])> {
+        p.iter()
+            .map(|&(r, c, k0, k1)| {
+                (r, c, [k0.re.to_bits(), k0.im.to_bits(), k1.re.to_bits(), k1.im.to_bits()])
+            })
+            .collect()
+    }
+
+    /// Every controlled-source kind, an inductor and a CCVS: the
+    /// frequency-only-scaled and transient-planned element set.
+    fn controlled_sources() -> Circuit {
+        let mut c = Circuit::new();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        c.add_resistor("R1", "in", "a", 1e3).unwrap();
+        c.add_inductor("L1", "a", "b", 1e-6).unwrap();
+        c.add_capacitor("C1", "b", "0", 1e-12).unwrap();
+        c.add_conductance("G1", "b", "c", 2e-3).unwrap();
+        c.add_vccs("GM1", "c", "0", "a", "b", 5e-3).unwrap();
+        c.add_vcvs("E1", "d", "0", "c", "0", 10.0).unwrap();
+        c.add_vsource("VS", "d", "e", 0.0).unwrap();
+        c.add_cccs("F1", "0", "out", "VS", 2.0).unwrap();
+        c.add_ccvs("H1", "f", "0", "VS", 50.0).unwrap();
+        c.add_resistor("R2", "e", "out", 1e3).unwrap();
+        c.add_resistor("R3", "f", "out", 1e3).unwrap();
+        c.add_capacitor("C2", "out", "0", 1e-12).unwrap();
+        c.add_isource("I1", "0", "c", 1e-3).unwrap();
+        c
+    }
+
+    #[test]
+    fn stamp_template_pattern_is_bit_identical_to_two_assembly_extraction() {
+        use refgen_circuit::library::{
+            graded_rc_ladder, grid_rc_mesh, lc_ladder_lowpass, miller_two_stage_opamp,
+            positive_feedback_ota, random_rc_mesh, sallen_key_lowpass, tow_thomas_biquad,
+        };
+        let circuits = [
+            rc_ladder(8, 1e3, 1e-9),
+            graded_rc_ladder(6, 1e3, 1e-9, 1.7, 0.6),
+            positive_feedback_ota(),
+            ua741(),
+            tow_thomas_biquad(1e4, 2.0, 1.0),
+            sallen_key_lowpass(1e3, 0.7),
+            miller_two_stage_opamp(2e-12, 5e-12),
+            lc_ladder_lowpass(5, 50.0, 1e6),
+            random_rc_mesh(20, 15, 7),
+            grid_rc_mesh(6, 6, 11),
+            controlled_sources(),
+        ];
+        let mut state = 0x5eed_u64;
+        let mut decade = |lo: f64, hi: f64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            10f64.powf(lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64))
+        };
+        for circuit in &circuits {
+            let sys = MnaSystem::new(circuit).unwrap();
+            // Inductor and CCVS circuits are scaled in frequency only (and
+            // planned at the unit scale by the transient engine).
+            let frequency_only = sys.has_unscalable_elements();
+            let mut scales = vec![Scale::unit()];
+            for _ in 0..12 {
+                let f = decade(-3.0, 16.0);
+                let g = if frequency_only { 1.0 } else { decade(-4.0, 4.0) };
+                scales.push(Scale::new(f, g));
+            }
+            for scale in scales {
+                let (dim, got) = affine_pattern(&sys, scale);
+                let (want_dim, want) = two_assembly_pattern(&sys, scale);
+                assert_eq!(dim, want_dim);
+                assert_eq!(entry_bits(&got), entry_bits(&want), "pattern at {scale:?}");
+                let template = sys.stamp_template();
+                assert_eq!(template.fingerprint, reference_fingerprint(want_dim, &want));
+                let rhs_bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+                    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                assert_eq!(rhs_bits(&template.rhs), rhs_bits(&sys.rhs()));
+            }
+        }
+    }
+
+    #[test]
+    fn rebind_rejects_same_dimension_different_topology() {
+        // Same node and branch counts, one resistor moved: the template
+        // positions differ while the dimension does not.
+        let a = rc_ladder(4, 1e3, 1e-9);
+        let mut b = Circuit::new();
+        b.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        b.add_resistor("R1", "in", "l1", 1e3).unwrap();
+        b.add_capacitor("C1", "l1", "0", 1e-9).unwrap();
+        b.add_resistor("R2", "l1", "l2", 1e3).unwrap();
+        b.add_capacitor("C2", "l2", "0", 1e-9).unwrap();
+        b.add_resistor("R3", "l1", "l3", 1e3).unwrap();
+        b.add_capacitor("C3", "l3", "0", 1e-9).unwrap();
+        b.add_resistor("R4", "l3", "out", 1e3).unwrap();
+        b.add_capacitor("C4", "out", "0", 1e-9).unwrap();
+        let (sa, sb) = (MnaSystem::new(&a).unwrap(), MnaSystem::new(&b).unwrap());
+        assert_eq!(sa.dim(), sb.dim(), "test premise: equal dimensions");
+        let plan = SweepPlan::new(&sa, Scale::new(1e9, 1e3), &spec()).unwrap();
+        assert!(matches!(
+            plan.rebind(&sb),
+            Err(MnaError::TopologyMismatch { expected, actual }) if expected == actual
+        ));
+        assert!(plan.rebind(&MnaSystem::new(&rc_ladder(4, 2e3, 3e-9)).unwrap()).is_ok());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! MNA system assembly with element scaling.
 
 use crate::error::MnaError;
+use crate::sweep::StampTemplate;
 use refgen_circuit::{Circuit, Element, ElementKind, NodeId};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::{SparseLu, Triplets};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Frequency and conductance scale factors applied during stamping.
 ///
@@ -54,12 +56,26 @@ impl Default for Scale {
 #[derive(Clone, Debug)]
 pub struct MnaSystem {
     circuit: Circuit,
-    /// Map from circuit node id to matrix row (ground absent).
-    node_rows: HashMap<NodeId, usize>,
     /// Branch index by element name.
     branch_rows: HashMap<String, usize>,
+    /// Per element (in circuit order): its own branch row and the branch
+    /// row of its controlling source, resolved once so stamping never
+    /// looks a name up.
+    element_rows: Vec<ElementRows>,
     node_count: usize,
     dim: usize,
+    /// The scale-free stamp layout plan builders derive every scale's
+    /// affine pattern from, built on first use.
+    template: OnceLock<StampTemplate>,
+}
+
+/// Branch rows one element stamps into.
+#[derive(Clone, Copy, Debug, Default)]
+struct ElementRows {
+    /// The element's own branch current (voltage-defined elements).
+    branch: Option<usize>,
+    /// The controlling branch of a current-controlled source.
+    control: Option<usize>,
 }
 
 impl MnaSystem {
@@ -70,24 +86,35 @@ impl MnaSystem {
     /// Returns [`MnaError::Circuit`] if the circuit fails validation.
     pub fn new(circuit: &Circuit) -> Result<Self, MnaError> {
         circuit.validate()?;
-        let mut node_rows = HashMap::new();
-        let mut next = 0usize;
-        for idx in 0..circuit.node_count() {
-            let id = NodeId(idx);
-            if !id.is_ground() {
-                node_rows.insert(id, next);
-                next += 1;
-            }
-        }
-        let node_count = next;
+        // Node `k > 0` (ground is node 0) owns matrix row `k − 1`.
+        let node_count = circuit.node_count().saturating_sub(1);
         let mut branch_rows = HashMap::new();
         for el in circuit.elements() {
             if el.needs_branch() {
                 branch_rows.insert(el.name.clone(), node_count + branch_rows.len());
             }
         }
+        let element_rows = circuit
+            .elements()
+            .iter()
+            .map(|el| ElementRows {
+                branch: branch_rows.get(&el.name).copied(),
+                control: match &el.kind {
+                    ElementKind::Cccs { control_branch, .. }
+                    | ElementKind::Ccvs { control_branch, .. } => Some(branch_rows[control_branch]),
+                    _ => None,
+                },
+            })
+            .collect();
         let dim = node_count + branch_rows.len();
-        Ok(MnaSystem { circuit: circuit.clone(), node_rows, branch_rows, node_count, dim })
+        Ok(MnaSystem {
+            circuit: circuit.clone(),
+            branch_rows,
+            element_rows,
+            node_count,
+            dim,
+            template: OnceLock::new(),
+        })
     }
 
     /// The underlying circuit.
@@ -112,7 +139,7 @@ impl MnaSystem {
 
     /// Matrix row of a node's voltage unknown (`None` for ground).
     pub fn node_row(&self, id: NodeId) -> Option<usize> {
-        self.node_rows.get(&id).copied()
+        (!id.is_ground() && id.0 <= self.node_count).then(|| id.0 - 1)
     }
 
     /// Matrix row of an element's branch current.
@@ -175,10 +202,26 @@ impl MnaSystem {
     /// Assembles the MNA matrix at complex frequency `s` with scaling.
     pub fn assemble(&self, s: Complex, scale: Scale) -> Triplets {
         let mut t = Triplets::new(self.dim);
-        for el in self.circuit.elements() {
-            self.stamp(&mut t, el, s, scale);
-        }
+        self.stamp_all(s, scale, &mut |r, c, v| t.add(r, c, v));
         t
+    }
+
+    /// The raw stamp values of [`MnaSystem::assemble`] at `(s, scale)`, in
+    /// stamp order, appended to `out` (positions are the template's).
+    pub(crate) fn stamp_values(&self, s: Complex, scale: Scale, out: &mut Vec<Complex>) {
+        self.stamp_all(s, scale, &mut |_, _, v| out.push(v));
+    }
+
+    /// The scale-free stamp layout, built on first use.
+    pub(crate) fn stamp_template(&self) -> &StampTemplate {
+        self.template.get_or_init(|| StampTemplate::new(self))
+    }
+
+    /// Emits every raw stamp `(row, col, value)` in stamp order.
+    fn stamp_all(&self, s: Complex, scale: Scale, add: &mut dyn FnMut(usize, usize, Complex)) {
+        for (el, rows) in self.circuit.elements().iter().zip(&self.element_rows) {
+            self.stamp(add, el, *rows, s, scale);
+        }
     }
 
     /// Builds the excitation vector `E` from the independent sources.
@@ -231,61 +274,68 @@ impl MnaSystem {
         }
     }
 
-    fn stamp(&self, t: &mut Triplets, el: &Element, s: Complex, scale: Scale) {
+    fn stamp(
+        &self,
+        add: &mut dyn FnMut(usize, usize, Complex),
+        el: &Element,
+        rows: ElementRows,
+        s: Complex,
+        scale: Scale,
+    ) {
         let (p, m) = el.nodes;
         let rp = self.node_row(p);
         let rm = self.node_row(m);
         match &el.kind {
             ElementKind::Resistor { ohms } => {
-                self.stamp_admittance(t, rp, rm, Complex::real(scale.g / ohms));
+                self.stamp_admittance(add, rp, rm, Complex::real(scale.g / ohms));
             }
             ElementKind::Conductance { siemens } => {
-                self.stamp_admittance(t, rp, rm, Complex::real(scale.g * siemens));
+                self.stamp_admittance(add, rp, rm, Complex::real(scale.g * siemens));
             }
             ElementKind::Capacitor { farads } => {
-                self.stamp_admittance(t, rp, rm, s * (scale.f * farads));
+                self.stamp_admittance(add, rp, rm, s * (scale.f * farads));
             }
             ElementKind::Vccs { gm, control } => {
                 let y = Complex::real(scale.g * gm);
                 let (cp, cm) = (self.node_row(control.0), self.node_row(control.1));
-                self.stamp_transadmittance(t, rp, rm, cp, cm, y);
+                self.stamp_transadmittance(add, rp, rm, cp, cm, y);
             }
             ElementKind::VSource { .. } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
+                let row = rows.branch.expect("voltage-defined elements own a branch row");
+                self.stamp_branch_voltage(add, row, rp, rm);
             }
             ElementKind::Vcvs { gain, control } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
+                let row = rows.branch.expect("voltage-defined elements own a branch row");
+                self.stamp_branch_voltage(add, row, rp, rm);
                 let (cp, cm) = (self.node_row(control.0), self.node_row(control.1));
                 if let Some(c) = cp {
-                    t.add(row, c, Complex::real(-gain));
+                    add(row, c, Complex::real(-gain));
                 }
                 if let Some(c) = cm {
-                    t.add(row, c, Complex::real(*gain));
+                    add(row, c, Complex::real(*gain));
                 }
             }
-            ElementKind::Cccs { gain, control_branch } => {
-                let col = self.branch_rows[control_branch];
+            ElementKind::Cccs { gain, .. } => {
+                let col = rows.control.expect("controlled sources resolve their branch");
                 if let Some(r) = rp {
-                    t.add(r, col, Complex::real(*gain));
+                    add(r, col, Complex::real(*gain));
                 }
                 if let Some(r) = rm {
-                    t.add(r, col, Complex::real(-gain));
+                    add(r, col, Complex::real(-gain));
                 }
             }
-            ElementKind::Ccvs { ohms, control_branch } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
-                let col = self.branch_rows[control_branch];
-                t.add(row, col, Complex::real(-ohms));
+            ElementKind::Ccvs { ohms, .. } => {
+                let row = rows.branch.expect("voltage-defined elements own a branch row");
+                self.stamp_branch_voltage(add, row, rp, rm);
+                let col = rows.control.expect("controlled sources resolve their branch");
+                add(row, col, Complex::real(-ohms));
             }
             ElementKind::Inductor { henries } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
+                let row = rows.branch.expect("voltage-defined elements own a branch row");
+                self.stamp_branch_voltage(add, row, rp, rm);
                 // The frequency scale applies to every reactive element:
                 // s → f·σ substitutes exactly in the branch equation too.
-                t.add(row, row, -(s * (scale.f * *henries)));
+                add(row, row, -(s * (scale.f * *henries)));
             }
             ElementKind::ISource { .. } => {
                 // Pure excitation: appears only in the RHS.
@@ -293,24 +343,30 @@ impl MnaSystem {
         }
     }
 
-    fn stamp_admittance(&self, t: &mut Triplets, rp: Option<usize>, rm: Option<usize>, y: Complex) {
+    fn stamp_admittance(
+        &self,
+        add: &mut dyn FnMut(usize, usize, Complex),
+        rp: Option<usize>,
+        rm: Option<usize>,
+        y: Complex,
+    ) {
         if let Some(i) = rp {
-            t.add(i, i, y);
+            add(i, i, y);
             if let Some(j) = rm {
-                t.add(i, j, -y);
+                add(i, j, -y);
             }
         }
         if let Some(j) = rm {
-            t.add(j, j, y);
+            add(j, j, y);
             if let Some(i) = rp {
-                t.add(j, i, -y);
+                add(j, i, -y);
             }
         }
     }
 
     fn stamp_transadmittance(
         &self,
-        t: &mut Triplets,
+        add: &mut dyn FnMut(usize, usize, Complex),
         rp: Option<usize>,
         rm: Option<usize>,
         cp: Option<usize>,
@@ -321,7 +377,7 @@ impl MnaSystem {
             let Some(r) = node else { continue };
             for (ctrl, sign_c) in [(cp, 1.0), (cm, -1.0)] {
                 let Some(c) = ctrl else { continue };
-                t.add(r, c, y.scale(sign_n * sign_c));
+                add(r, c, y.scale(sign_n * sign_c));
             }
         }
     }
@@ -329,18 +385,18 @@ impl MnaSystem {
     /// Branch voltage definition row and its incidence column entries.
     fn stamp_branch_voltage(
         &self,
-        t: &mut Triplets,
+        add: &mut dyn FnMut(usize, usize, Complex),
         row: usize,
         rp: Option<usize>,
         rm: Option<usize>,
     ) {
         if let Some(i) = rp {
-            t.add(row, i, Complex::ONE);
-            t.add(i, row, Complex::ONE);
+            add(row, i, Complex::ONE);
+            add(i, row, Complex::ONE);
         }
         if let Some(j) = rm {
-            t.add(row, j, -Complex::ONE);
-            t.add(j, row, -Complex::ONE);
+            add(row, j, -Complex::ONE);
+            add(j, row, -Complex::ONE);
         }
     }
 }

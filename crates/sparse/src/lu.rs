@@ -8,6 +8,27 @@
 //! circuit matrix at dozens of frequency points, and only the first
 //! factorization pays for pivot search.
 //!
+//! # The pivot choice and arithmetic contract
+//!
+//! Every recorded order, and hence every compiled program downstream, is
+//! a function of this exact rule, so it is pinned bit for bit:
+//!
+//! * a candidate `(r, c)` needs `|a| ≥ u·max|row r|` and `|a| > 0`;
+//! * the smallest Markowitz count `(r_nnz − 1)·(c_nnz − 1)` wins, where
+//!   `r_nnz` counts the row's entries that are not exactly zero and
+//!   `c_nnz` counts every active entry of the column, explicit zeros
+//!   included;
+//! * on a tie the strictly larger `|a|` wins, and on a further tie the
+//!   first candidate in ascending `(row, col)` order.
+//!
+//! Duplicate triplets sum from `Complex::ZERO` in entry order (as
+//! [`Triplets::to_rows`] does). Each update of an existing entry is one
+//! `a −= l·v`, a fill-in entry is `−(l·v)`, and an entry that cancels to
+//! exactly zero stays in the pattern. `U` rows are kept in ascending
+//! column order. The elimination runs on flat column-sorted rows with
+//! cached row maxima, nonzero counts and per-column entry counts, so a
+//! pivot search never recomputes a magnitude or recounts a column.
+//!
 //! The determinant is accumulated as an
 //! [`refgen_numeric::ExtComplex`] — the product of pivots of a
 //! scaled MNA matrix reaches `1e±124` and beyond (paper Table 2), which must
@@ -15,7 +36,6 @@
 
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Default threshold-pivoting parameter: candidates must satisfy
@@ -246,18 +266,184 @@ enum PivotStrategy {
     Fixed(PivotOrder),
 }
 
+/// One stored entry of the active submatrix: column, value and the cached
+/// magnitude `|value|` the pivot search compares.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    col: usize,
+    val: Complex,
+    mag: f64,
+}
+
+impl Entry {
+    fn new(col: usize, val: Complex) -> Entry {
+        Entry { col, val, mag: val.abs() }
+    }
+}
+
+/// The active submatrix of an elimination in flat form: column-sorted
+/// rows, each with its cached largest magnitude and nonzero count, plus
+/// the number of active rows holding an entry in each column.
+struct ActiveMatrix {
+    rows: Vec<Vec<Entry>>,
+    /// `max |a|` over the row (`0.0` when every entry is zero).
+    row_max: Vec<f64>,
+    /// Entries of the row that are not exactly zero.
+    row_nnz: Vec<usize>,
+    row_active: Vec<bool>,
+    /// Active rows holding a (possibly zero) entry in the column.
+    col_count: Vec<usize>,
+    /// `count_hist[k]`: columns with `col_count == k`. Its smallest
+    /// nonzero `k ≥ 1` bounds every candidate's column count from below.
+    count_hist: Vec<usize>,
+    /// Head of each column's list (through `links`) of the rows that gained
+    /// an entry there, newest first; rows retired since then are skipped
+    /// by the `row_active` test.
+    col_head: Vec<u32>,
+    /// `(row, next)` nodes of the column lists.
+    links: Vec<(u32, u32)>,
+}
+
+/// End of a column list.
+const NIL: u32 = u32::MAX;
+
+impl ActiveMatrix {
+    /// Accumulates the triplets: duplicates sum from zero in entry order,
+    /// exactly as [`Triplets::to_rows`] does.
+    fn new(a: &Triplets) -> ActiveMatrix {
+        let n = a.dim();
+        let entries = a.entries();
+        // Stable sort by position, so each position's duplicates stay in
+        // entry order.
+        let mut by_position: Vec<u32> = (0..entries.len())
+            .map(|i| u32::try_from(i).expect("entry count exceeds u32"))
+            .collect();
+        by_position.sort_by_key(|&i| (entries[i as usize].0, entries[i as usize].1));
+        let mut row_len = vec![0usize; n];
+        for &(r, _, _) in entries {
+            row_len[r] += 1;
+        }
+        let mut m = ActiveMatrix {
+            rows: row_len.iter().map(|&len| Vec::with_capacity(len)).collect(),
+            row_max: vec![0.0; n],
+            row_nnz: vec![0; n],
+            row_active: vec![true; n],
+            col_count: vec![0; n],
+            count_hist: vec![0; n + 1],
+            col_head: vec![NIL; n],
+            links: Vec::with_capacity(entries.len()),
+        };
+        for &i in &by_position {
+            let (r, c, v) = entries[i as usize];
+            match m.rows[r].last_mut() {
+                Some(last) if last.col == c => last.val += v,
+                _ => {
+                    let mut sum = Complex::ZERO;
+                    sum += v;
+                    m.rows[r].push(Entry { col: c, val: sum, mag: 0.0 });
+                    m.col_count[c] += 1;
+                    m.link(c, r);
+                }
+            }
+        }
+        for r in 0..n {
+            for e in &mut m.rows[r] {
+                e.mag = e.val.abs();
+            }
+            m.refresh(r);
+        }
+        m.count_hist[0] = n;
+        for &k in &m.col_count {
+            m.count_hist[0] -= 1;
+            m.count_hist[k] += 1;
+        }
+        m
+    }
+
+    /// Records that row `r` holds an entry in column `c`.
+    fn link(&mut self, c: usize, r: usize) {
+        let node = u32::try_from(self.links.len()).expect("entry count exceeds u32");
+        self.links.push((r as u32, self.col_head[c]));
+        self.col_head[c] = node;
+    }
+
+    /// Moves column `c`'s active-entry count to `count`.
+    fn recount(&mut self, c: usize, count: usize) {
+        self.count_hist[self.col_count[c]] -= 1;
+        self.count_hist[count] += 1;
+        self.col_count[c] = count;
+    }
+
+    /// Active rows holding an entry in column `c`, ascending, into `rows`.
+    fn column_rows(&self, c: usize, rows: &mut Vec<usize>) {
+        rows.clear();
+        let mut node = self.col_head[c];
+        while node != NIL {
+            let (r, next) = self.links[node as usize];
+            if self.row_active[r as usize] {
+                rows.push(r as usize);
+            }
+            node = next;
+        }
+        rows.sort_unstable();
+    }
+
+    /// Recomputes the cached `(row_max, row_nnz)` of row `r`.
+    fn refresh(&mut self, r: usize) {
+        let row = &self.rows[r];
+        self.row_max[r] = row.iter().map(|e| e.mag).fold(0.0, f64::max);
+        self.row_nnz[r] = row.iter().filter(|e| e.val != Complex::ZERO).count();
+    }
+
+    fn get(&self, r: usize, c: usize) -> Complex {
+        let row = &self.rows[r];
+        row.binary_search_by_key(&c, |e| e.col).map_or(Complex::ZERO, |i| row[i].val)
+    }
+
+    /// Markowitz pivot selection with the threshold stability test; see
+    /// the [module docs](self) for the exact choice rule.
+    fn select_markowitz(&self, threshold: f64) -> Option<(usize, usize)> {
+        // Every candidate's column count is at least the smallest nonzero
+        // one, which bounds each row's Markowitz counts from below.
+        let c_cost = self.count_hist.iter().skip(1).position(|&k| k > 0).unwrap_or(0);
+        let mut best: Option<(usize, usize, usize, f64)> = None; // (r, c, markowitz, |a|)
+        for (r, row) in self.rows.iter().enumerate() {
+            let row_max = self.row_max[r];
+            if !self.row_active[r] || row_max == 0.0 {
+                continue;
+            }
+            let r_cost = self.row_nnz[r] - 1;
+            if let Some((_, _, bm, bmag)) = best {
+                // Exact skip: no candidate here has a smaller count, and
+                // none at an equal count has a larger magnitude.
+                let bound = r_cost * c_cost;
+                if bound > bm || (bound == bm && row_max <= bmag) {
+                    continue;
+                }
+            }
+            let limit = threshold * row_max;
+            for e in row {
+                if e.mag < limit || e.mag == 0.0 {
+                    continue;
+                }
+                let mark = r_cost * self.col_count[e.col].saturating_sub(1);
+                let better = match best {
+                    None => true,
+                    Some((_, _, bm, bmag)) => mark < bm || (mark == bm && e.mag > bmag),
+                };
+                if better {
+                    best = Some((r, e.col, mark, e.mag));
+                }
+            }
+        }
+        best.map(|(r, c, _, _)| (r, c))
+    }
+}
+
 fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, FactorError> {
     let n = a.dim();
-    let mut rows: Vec<BTreeMap<usize, Complex>> = a.to_rows();
-    // col_rows[c]: active rows holding a (possibly zero) entry in column c.
-    let mut col_rows: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (r, row) in rows.iter().enumerate() {
-        for (&c, _) in row.iter() {
-            col_rows[c].insert(r);
-        }
-    }
-    let mut row_active = vec![true; n];
-    let mut col_active = vec![true; n];
+    let mut m = ActiveMatrix::new(a);
+    let initial_nnz: usize = m.rows.iter().map(Vec::len).sum();
 
     let mut order_rows = Vec::with_capacity(n);
     let mut order_cols = Vec::with_capacity(n);
@@ -265,17 +451,17 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
     let mut urows = Vec::with_capacity(n);
     let mut pivots = Vec::with_capacity(n);
     let mut det_mag = ExtProduct::ONE;
-    let initial_nnz: usize = rows.iter().map(|r| r.len()).sum();
+    let mut merged: Vec<Entry> = Vec::new();
+    let mut targets: Vec<usize> = Vec::new();
 
     for step in 0..n {
         let (pr, pc) = match &strategy {
             PivotStrategy::Markowitz { threshold } => {
-                select_markowitz(&rows, &col_rows, &row_active, *threshold)
-                    .ok_or(FactorError::Singular { step })?
+                m.select_markowitz(*threshold).ok_or(FactorError::Singular { step })?
             }
             PivotStrategy::Fixed(ord) => (ord.rows[step], ord.cols[step]),
         };
-        let pivot = rows[pr].get(&pc).copied().unwrap_or(Complex::ZERO);
+        let pivot = m.get(pr, pc);
         if pivot == Complex::ZERO {
             return Err(FactorError::Singular { step });
         }
@@ -283,46 +469,60 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
         order_rows.push(pr);
         order_cols.push(pc);
         pivots.push(pivot);
-        row_active[pr] = false;
-        col_active[pc] = false;
+        m.row_active[pr] = false;
 
         // Detach the pivot row; record U (without the pivot entry).
-        let prow = std::mem::take(&mut rows[pr]);
-        for (&c, _) in prow.iter() {
-            col_rows[c].remove(&pr);
+        let prow = std::mem::take(&mut m.rows[pr]);
+        for e in &prow {
+            m.recount(e.col, m.col_count[e.col] - 1);
         }
         let urow: Vec<(usize, Complex)> =
-            prow.iter().filter(|&(&c, _)| c != pc).map(|(&c, &v)| (c, v)).collect();
+            prow.iter().filter(|e| e.col != pc).map(|e| (e.col, e.val)).collect();
 
-        // Eliminate column pc from remaining active rows.
-        let targets: Vec<usize> = col_rows[pc].iter().copied().filter(|&r| row_active[r]).collect();
+        // Eliminate column pc from the remaining active rows, in ascending
+        // row order; every one of them holds an entry there.
+        m.column_rows(pc, &mut targets);
+        m.recount(pc, 0);
         let mut lcol = Vec::with_capacity(targets.len());
-        for r2 in targets {
-            let a_rc = rows[r2].remove(&pc).unwrap_or(Complex::ZERO);
-            col_rows[pc].remove(&r2);
-            if a_rc == Complex::ZERO {
-                continue;
-            }
-            let l = a_rc / pivot;
-            lcol.push((r2, l));
-            for &(c, v) in &urow {
-                let delta = l * v;
-                match rows[r2].entry(c) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        *e.get_mut() -= delta;
+        for &r2 in &targets {
+            let mut row = std::mem::take(&mut m.rows[r2]);
+            let at = row.binary_search_by_key(&pc, |e| e.col).expect("column lists are exact");
+            let a_rc = row.remove(at).val;
+            if a_rc != Complex::ZERO {
+                let l = a_rc / pivot;
+                lcol.push((r2, l));
+                // Merge the scaled pivot row into this row: `a -= l·v` on
+                // shared columns, fill-in `−(l·v)` on the others.
+                merged.clear();
+                let mut old = row.iter().peekable();
+                for &(c, v) in &urow {
+                    while let Some(e) = old.next_if(|e| e.col < c) {
+                        merged.push(*e);
                     }
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(-delta);
-                        col_rows[c].insert(r2);
+                    let delta = l * v;
+                    match old.next_if(|e| e.col == c) {
+                        Some(e) => {
+                            let mut val = e.val;
+                            val -= delta;
+                            merged.push(Entry::new(c, val));
+                        }
+                        None => {
+                            merged.push(Entry::new(c, -delta));
+                            m.recount(c, m.col_count[c] + 1);
+                            m.link(c, r2);
+                        }
                     }
                 }
+                merged.extend(old);
+                std::mem::swap(&mut row, &mut merged);
             }
+            m.rows[r2] = row;
+            m.refresh(r2);
         }
         lcols.push(lcol);
         urows.push(urow);
     }
 
-    let _ = col_active;
     let order = PivotOrder { rows: order_rows, cols: order_cols };
     let det = det_mag.value() * Complex::real(order.sign());
     let final_nnz: usize = urows.iter().map(|u| u.len() + 1).sum::<usize>()
@@ -336,42 +536,6 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
         det,
         fill_in: final_nnz.saturating_sub(initial_nnz),
     })
-}
-
-/// Markowitz pivot selection with threshold stability test.
-fn select_markowitz(
-    rows: &[BTreeMap<usize, Complex>],
-    col_rows: &[BTreeSet<usize>],
-    row_active: &[bool],
-    threshold: f64,
-) -> Option<(usize, usize)> {
-    let mut best: Option<(usize, usize, usize, f64)> = None; // (r, c, markowitz, |a|)
-    for (r, row) in rows.iter().enumerate() {
-        if !row_active[r] || row.is_empty() {
-            continue;
-        }
-        let row_max = row.values().map(|v| v.abs()).fold(0.0, f64::max);
-        if row_max == 0.0 {
-            continue;
-        }
-        let r_nnz = row.values().filter(|v| **v != Complex::ZERO).count();
-        for (&c, &v) in row.iter() {
-            let mag = v.abs();
-            if mag < threshold * row_max || mag == 0.0 {
-                continue;
-            }
-            let c_nnz = col_rows[c].iter().filter(|&&rr| row_active[rr]).count();
-            let mark = (r_nnz - 1) * (c_nnz.saturating_sub(1));
-            let better = match best {
-                None => true,
-                Some((_, _, bm, bmag)) => mark < bm || (mark == bm && mag > bmag),
-            };
-            if better {
-                best = Some((r, c, mark, mag));
-            }
-        }
-    }
-    best.map(|(r, c, _, _)| (r, c))
 }
 
 #[cfg(test)]

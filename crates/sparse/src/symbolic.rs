@@ -57,7 +57,6 @@
 use crate::lu::{FactorError, PivotOrder};
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
-use std::collections::HashMap;
 
 /// One multiplier of the elimination: the entry at `slot` (original
 /// position `(row, pivot column)`) is divided by the pivot and then drives
@@ -80,6 +79,44 @@ struct LEntry {
 struct Op {
     dest: u32,
     src: u32,
+}
+
+/// Slot of column `c` in a column-sorted `(col, slot)` row.
+fn slot_in(row: &[(usize, u32)], c: usize) -> Option<u32> {
+    row.binary_search_by_key(&c, |&(col, _)| col).ok().map(|i| row[i].1)
+}
+
+/// End of a [`ColumnLists`] list.
+const NIL: u32 = u32::MAX;
+
+/// Per column, the rows that gained an entry there in insertion order,
+/// as singly linked lists sharing one node arena.
+struct ColumnLists {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// `(row, next)` nodes.
+    links: Vec<(u32, u32)>,
+}
+
+impl ColumnLists {
+    fn new(dim: usize, capacity: usize) -> ColumnLists {
+        ColumnLists {
+            head: vec![NIL; dim],
+            tail: vec![NIL; dim],
+            links: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Appends row `r` to column `c`'s list.
+    fn push(&mut self, c: usize, r: usize) {
+        let node = u32::try_from(self.links.len()).expect("pattern exceeds u32 slots");
+        self.links.push((r as u32, NIL));
+        match self.tail[c] {
+            NIL => self.head[c] = node,
+            last => self.links[last as usize].1 = node,
+        }
+        self.tail[c] = node;
+    }
 }
 
 /// A compiled symbolic factorization of one `(sparsity pattern,
@@ -140,29 +177,63 @@ impl FactorProgram {
         if order.dim() != dim {
             return Err(FactorError::OrderMismatch { expected: order.dim(), actual: dim });
         }
-        // Slot assignment for the raw pattern + per-row sorted column sets.
-        let mut slot_of: HashMap<(usize, usize), u32> = HashMap::new();
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); dim];
-        let mut scatter = Vec::with_capacity(positions.len());
+        // Slot assignment for the raw pattern: slots number distinct
+        // positions in order of first appearance, duplicates share their
+        // first entry's slot, and each row keeps its `(col, slot)` pairs
+        // sorted by column. Entry indices are bucketed by row (entry order
+        // kept), so one column mark per row finds each first appearance.
+        assert!(u32::try_from(positions.len()).is_ok(), "pattern exceeds u32 slots");
+        let mut row_start = vec![0usize; dim + 1];
         for &(r, c) in positions {
             assert!(r < dim && c < dim, "position ({r},{c}) out of range for dim {dim}");
-            let next = u32::try_from(slot_of.len()).expect("pattern exceeds u32 slots");
-            let slot = *slot_of.entry((r, c)).or_insert_with(|| {
-                rows[r].push(c);
-                next
-            });
-            scatter.push(slot);
+            row_start[r + 1] += 1;
         }
-        for row in &mut rows {
-            row.sort_unstable();
+        for r in 0..dim {
+            row_start[r + 1] += row_start[r];
         }
-        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); dim];
-        for (r, row) in rows.iter().enumerate() {
-            for &c in row {
-                col_rows[c].push(r);
+        let mut by_row = vec![0usize; positions.len()];
+        let mut next_in_row = row_start.clone();
+        for (i, &(r, _)) in positions.iter().enumerate() {
+            by_row[next_in_row[r]] = i;
+            next_in_row[r] += 1;
+        }
+        let mut first = vec![false; positions.len()];
+        let mut marked_row = vec![usize::MAX; dim];
+        for r in 0..dim {
+            for &i in &by_row[row_start[r]..row_start[r + 1]] {
+                let c = positions[i].1;
+                first[i] = std::mem::replace(&mut marked_row[c], r) != r;
             }
         }
-        let initial_nnz = slot_of.len();
+        let mut scatter = vec![0u32; positions.len()];
+        let mut next_slot = 0usize;
+        for (i, _) in first.iter().enumerate().filter(|&(_, &f)| f) {
+            scatter[i] = next_slot as u32;
+            next_slot += 1;
+        }
+        let mut col_slot = vec![0u32; dim];
+        let mut rows: Vec<Vec<(usize, u32)>> = Vec::with_capacity(dim);
+        for r in 0..dim {
+            let mut row = Vec::with_capacity(row_start[r + 1] - row_start[r]);
+            for &i in &by_row[row_start[r]..row_start[r + 1]] {
+                let c = positions[i].1;
+                if first[i] {
+                    col_slot[c] = scatter[i];
+                    row.push((c, scatter[i]));
+                } else {
+                    scatter[i] = col_slot[c];
+                }
+            }
+            row.sort_unstable();
+            rows.push(row);
+        }
+        let mut col_rows = ColumnLists::new(dim, positions.len());
+        for (r, row) in rows.iter().enumerate() {
+            for &(c, _) in row {
+                col_rows.push(c, r);
+            }
+        }
+        let initial_nnz = next_slot;
         let mut row_active = vec![true; dim];
 
         let mut pivot_slots = Vec::with_capacity(dim);
@@ -173,79 +244,89 @@ impl FactorProgram {
         let mut ops: Vec<Op> = Vec::new();
         let mut uranges = Vec::with_capacity(dim);
         let mut uents: Vec<(u32, u32)> = Vec::new();
+        let mut merged: Vec<(usize, u32)> = Vec::new();
 
         // Symbolic elimination: identical structure to the numeric replay
         // in `SparseLu::refactor`, on positions instead of values.
         for step in 0..dim {
             let pr = order.rows()[step];
             let pc = order.cols()[step];
-            if rows[pr].binary_search(&pc).is_err() {
+            let Some(pivot_slot) = slot_in(&rows[pr], pc) else {
                 return Err(FactorError::Singular { step });
-            }
+            };
             row_active[pr] = false;
-            pivot_slots.push(slot_of[&(pr, pc)]);
+            pivot_slots.push(pivot_slot);
             pivot_rows.push(pr as u32);
             pivot_cols.push(pc as u32);
 
             // rows[pr] is final at its own pivot step (updates only reach
             // rows that are still active): record the pivot-free U row.
+            let prow = std::mem::take(&mut rows[pr]);
             let ustart = uents.len() as u32;
-            for &c in &rows[pr] {
-                if c != pc {
-                    uents.push((c as u32, slot_of[&(pr, c)]));
-                }
-            }
+            uents.extend(prow.iter().filter(|&&(c, _)| c != pc).map(|&(c, s)| (c as u32, s)));
             uranges.push((ustart, uents.len() as u32));
 
             let lstart = lents.len() as u32;
-            let prow = std::mem::take(&mut rows[pr]);
-            let targets = std::mem::take(&mut col_rows[pc]);
-            for &r2 in &targets {
+            let mut node = col_rows.head[pc];
+            while node != NIL {
+                let (r2, next) = col_rows.links[node as usize];
+                node = next;
+                let r2 = r2 as usize;
                 if !row_active[r2] {
                     continue;
                 }
-                let Ok(pos) = rows[r2].binary_search(&pc) else {
+                let row = &mut rows[r2];
+                let Ok(pos) = row.binary_search_by_key(&pc, |&(c, _)| c) else {
                     continue;
                 };
                 // The eliminated entry leaves U's pattern (its slot stays,
                 // holding the multiplier — the entry of L this step makes).
-                rows[r2].remove(pos);
+                let (_, lslot) = row.remove(pos);
                 let ops_start = ops.len() as u32;
-                for &c in &prow {
+                merged.clear();
+                let mut old = row.iter().copied().peekable();
+                for &(c, src) in &prow {
                     if c == pc {
                         continue;
                     }
-                    let src = slot_of[&(pr, c)];
-                    let dest = match rows[r2].binary_search(&c) {
-                        Ok(_) => slot_of[&(r2, c)],
-                        Err(ins) => {
+                    while let Some(kept) = old.next_if(|&(oc, _)| oc < c) {
+                        merged.push(kept);
+                    }
+                    let dest = match old.next_if(|&(oc, _)| oc == c) {
+                        Some((_, slot)) => slot,
+                        None => {
                             // Fill-in: a brand-new slot, discovered once at
                             // compile time instead of at every point.
-                            let slot =
-                                u32::try_from(slot_of.len()).expect("pattern exceeds u32 slots");
-                            slot_of.insert((r2, c), slot);
-                            rows[r2].insert(ins, c);
-                            col_rows[c].push(r2);
+                            let slot = u32::try_from(next_slot).expect("pattern exceeds u32 slots");
+                            next_slot += 1;
+                            col_rows.push(c, r2);
                             slot
                         }
                     };
+                    merged.push((c, dest));
                     ops.push(Op { dest, src });
                 }
+                merged.extend(old);
+                std::mem::swap(row, &mut merged);
                 lents.push(LEntry {
                     row: r2 as u32,
-                    slot: slot_of[&(r2, pc)],
+                    slot: lslot,
                     ops_start,
                     ops_end: ops.len() as u32,
                 });
             }
             rows[pr] = prow;
-            col_rows[pc] = targets;
             lranges.push((lstart, lents.len() as u32));
         }
+        // The plan keeps the program for its whole life: hand back the
+        // growth slack of the instruction stream.
+        ops.shrink_to_fit();
+        lents.shrink_to_fit();
+        uents.shrink_to_fit();
 
         Ok(FactorProgram {
             n: dim,
-            slots: slot_of.len(),
+            slots: next_slot,
             positions: positions.iter().map(|&(r, c)| (r as u32, c as u32)).collect(),
             scatter,
             pivot_slots,
@@ -256,7 +337,7 @@ impl FactorProgram {
             ops,
             uranges,
             uents,
-            fill_in: slot_of.len() - initial_nnz,
+            fill_in: next_slot - initial_nnz,
             sign: order.sign(),
         })
     }
