@@ -296,16 +296,10 @@ struct ActiveMatrix {
     /// `count_hist[k]`: columns with `col_count == k`. Its smallest
     /// nonzero `k ≥ 1` bounds every candidate's column count from below.
     count_hist: Vec<usize>,
-    /// Head of each column's list (through `links`) of the rows that gained
-    /// an entry there, newest first; rows retired since then are skipped
-    /// by the `row_active` test.
-    col_head: Vec<u32>,
-    /// `(row, next)` nodes of the column lists.
-    links: Vec<(u32, u32)>,
+    /// Rows that gained an entry in the column; rows retired since then
+    /// are skipped by the `row_active` test.
+    col_rows: Vec<Vec<usize>>,
 }
-
-/// End of a column list.
-const NIL: u32 = u32::MAX;
 
 impl ActiveMatrix {
     /// Accumulates the triplets: duplicates sum from zero in entry order,
@@ -330,8 +324,7 @@ impl ActiveMatrix {
             row_active: vec![true; n],
             col_count: vec![0; n],
             count_hist: vec![0; n + 1],
-            col_head: vec![NIL; n],
-            links: Vec::with_capacity(entries.len()),
+            col_rows: vec![Vec::new(); n],
         };
         for &i in &by_position {
             let (r, c, v) = entries[i as usize];
@@ -342,7 +335,7 @@ impl ActiveMatrix {
                     sum += v;
                     m.rows[r].push(Entry { col: c, val: sum, mag: 0.0 });
                     m.col_count[c] += 1;
-                    m.link(c, r);
+                    m.col_rows[c].push(r);
                 }
             }
         }
@@ -360,13 +353,6 @@ impl ActiveMatrix {
         m
     }
 
-    /// Records that row `r` holds an entry in column `c`.
-    fn link(&mut self, c: usize, r: usize) {
-        let node = u32::try_from(self.links.len()).expect("entry count exceeds u32");
-        self.links.push((r as u32, self.col_head[c]));
-        self.col_head[c] = node;
-    }
-
     /// Moves column `c`'s active-entry count to `count`.
     fn recount(&mut self, c: usize, count: usize) {
         self.count_hist[self.col_count[c]] -= 1;
@@ -377,14 +363,7 @@ impl ActiveMatrix {
     /// Active rows holding an entry in column `c`, ascending, into `rows`.
     fn column_rows(&self, c: usize, rows: &mut Vec<usize>) {
         rows.clear();
-        let mut node = self.col_head[c];
-        while node != NIL {
-            let (r, next) = self.links[node as usize];
-            if self.row_active[r as usize] {
-                rows.push(r as usize);
-            }
-            node = next;
-        }
+        rows.extend(self.col_rows[c].iter().copied().filter(|&r| self.row_active[r]));
         rows.sort_unstable();
     }
 
@@ -509,7 +488,7 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
                         None => {
                             merged.push(Entry::new(c, -delta));
                             m.recount(c, m.col_count[c] + 1);
-                            m.link(c, r2);
+                            m.col_rows[c].push(r2);
                         }
                     }
                 }

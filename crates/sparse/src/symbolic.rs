@@ -86,39 +86,6 @@ fn slot_in(row: &[(usize, u32)], c: usize) -> Option<u32> {
     row.binary_search_by_key(&c, |&(col, _)| col).ok().map(|i| row[i].1)
 }
 
-/// End of a [`ColumnLists`] list.
-const NIL: u32 = u32::MAX;
-
-/// Per column, the rows that gained an entry there in insertion order,
-/// as singly linked lists sharing one node arena.
-struct ColumnLists {
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    /// `(row, next)` nodes.
-    links: Vec<(u32, u32)>,
-}
-
-impl ColumnLists {
-    fn new(dim: usize, capacity: usize) -> ColumnLists {
-        ColumnLists {
-            head: vec![NIL; dim],
-            tail: vec![NIL; dim],
-            links: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Appends row `r` to column `c`'s list.
-    fn push(&mut self, c: usize, r: usize) {
-        let node = u32::try_from(self.links.len()).expect("pattern exceeds u32 slots");
-        self.links.push((r as u32, NIL));
-        match self.tail[c] {
-            NIL => self.head[c] = node,
-            last => self.links[last as usize].1 = node,
-        }
-        self.tail[c] = node;
-    }
-}
-
 /// A compiled symbolic factorization of one `(sparsity pattern,
 /// [`PivotOrder`])` pair. See the [module docs](self).
 ///
@@ -227,10 +194,10 @@ impl FactorProgram {
             row.sort_unstable();
             rows.push(row);
         }
-        let mut col_rows = ColumnLists::new(dim, positions.len());
+        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); dim];
         for (r, row) in rows.iter().enumerate() {
             for &(c, _) in row {
-                col_rows.push(c, r);
+                col_rows[c].push(r);
             }
         }
         let initial_nnz = next_slot;
@@ -267,11 +234,8 @@ impl FactorProgram {
             uranges.push((ustart, uents.len() as u32));
 
             let lstart = lents.len() as u32;
-            let mut node = col_rows.head[pc];
-            while node != NIL {
-                let (r2, next) = col_rows.links[node as usize];
-                node = next;
-                let r2 = r2 as usize;
+            let targets = std::mem::take(&mut col_rows[pc]);
+            for &r2 in &targets {
                 if !row_active[r2] {
                     continue;
                 }
@@ -299,7 +263,7 @@ impl FactorProgram {
                             // compile time instead of at every point.
                             let slot = u32::try_from(next_slot).expect("pattern exceeds u32 slots");
                             next_slot += 1;
-                            col_rows.push(c, r2);
+                            col_rows[c].push(r2);
                             slot
                         }
                     };
@@ -316,6 +280,7 @@ impl FactorProgram {
                 });
             }
             rows[pr] = prow;
+            col_rows[pc] = targets;
             lranges.push((lstart, lents.len() as u32));
         }
         // The plan keeps the program for its whole life: hand back the
