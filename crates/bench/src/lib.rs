@@ -734,7 +734,11 @@ fn bench_affine_pattern(
 /// * `plan_ua741_{probe,compile,cached}` and `plan_mesh1024_probe` — ns
 ///   per plan-build phase: the Markowitz ordering probe, the symbolic
 ///   compile of its order, and a `PlanCache`-hit plan build of the
-///   µA741, and the ordering probe of the 32×32 RC mesh.
+///   µA741, and the ordering probe of the 32×32 RC mesh;
+/// * `dft_41_forward` and `window_ua741_reduction` — the interpolation
+///   layer on a real µA741 denominator: ns per 41-point forward DFT (the
+///   full window) and ns per subtracted term of the eq. (17) reduction
+///   of a K = 25 window with 16 known coefficients.
 ///
 /// The snapshot also records the [`PerfEnv`] (CPU feature flags seen by
 /// the batched kernel's runtime dispatch, configured lane width).
@@ -933,6 +937,78 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             median_ns_per_point: ns,
             points: 1,
             reps: mesh_reps,
+        });
+    }
+
+    // Interpolation-layer rows (ROADMAP item 1(e)) on a real µA741
+    // denominator, renormalized into the scale of its first reduced
+    // window: one 41-point forward DFT of the aligned mantissas of a full
+    // window (ns per transform), and the eq. (17) subtract of a K = 25
+    // window over coefficients 16..=40 with the 16 below it known (ns per
+    // subtracted term, the final σ^{−16} shift included).
+    {
+        use refgen_numeric::dft::Dft;
+        use refgen_numeric::ExtFloat;
+        let solution = Session::for_circuit(&circuits[1].1)
+            .spec(standard_spec())
+            .solve()
+            .expect("µA741 solves");
+        let report = &solution.network.report.denominator;
+        let coeffs = solution.network.denominator.coeffs();
+        let scale =
+            report.windows.iter().find(|w| w.reduced).expect("the µA741 needs reduction").scale;
+        let m = solution.network.report.admittance_degree;
+        let (f, g) = (ExtFloat::from_f64(scale.f), ExtFloat::from_f64(scale.g));
+        let renorm: Vec<ExtComplex> = coeffs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c.scale_ext(f.powi(i as i64) * g.powi(m - i as i64)))
+            .collect();
+        let sample = |sigma: Complex| {
+            renorm.iter().enumerate().map(|(i, &c)| c * sigma.powi(i as i32)).sum::<ExtComplex>()
+        };
+        let repeat = 100usize;
+
+        let sigmas = refgen_numeric::dft::unit_circle_points(41);
+        let samples: Vec<ExtComplex> = sigmas.iter().map(|&s| sample(s)).collect();
+        let e0 = samples.iter().map(|s| s.exponent()).max().expect("41 samples");
+        let mantissas: Vec<Complex> = samples.iter().map(|s| s.mantissa_at_exponent(e0)).collect();
+        let dft = Dft::new(41);
+        let (ns, _) = median_ns_per_point(reps, repeat, || {
+            (0..repeat).map(|_| dft.forward(std::hint::black_box(&mantissas))[0].re).sum()
+        });
+        rows.push(PerfRow {
+            name: "dft_41_forward".to_string(),
+            median_ns_per_point: ns,
+            points: repeat,
+            reps,
+        });
+
+        let k_lo = 16;
+        let sigmas = refgen_numeric::dft::unit_circle_points(25);
+        let samples: Vec<ExtComplex> = sigmas.iter().map(|&s| sample(s)).collect();
+        let powers: Vec<Vec<Complex>> =
+            (0..k_lo).map(|i| sigmas.iter().map(|s| s.powi(i as i32)).collect()).collect();
+        let shift: Vec<Complex> = sigmas.iter().map(|s| s.conj().powi(k_lo as i32)).collect();
+        let terms = sigmas.len() * k_lo;
+        let (ns, _) = median_ns_per_point(reps, repeat * terms, || {
+            let mut acc = 0.0;
+            for _ in 0..repeat {
+                for (j, &raw) in std::hint::black_box(&samples).iter().enumerate() {
+                    let mut v = raw;
+                    for (&c, row) in renorm[..k_lo].iter().zip(&powers) {
+                        v -= c * row[j];
+                    }
+                    acc += (v * shift[j]).mantissa().re;
+                }
+            }
+            acc
+        });
+        rows.push(PerfRow {
+            name: "window_ua741_reduction".to_string(),
+            median_ns_per_point: ns,
+            points: repeat * terms,
+            reps,
         });
     }
 
@@ -1163,6 +1239,8 @@ mod tests {
             "plan_ua741_compile",
             "plan_ua741_cached",
             "plan_mesh1024_probe",
+            "dft_41_forward",
+            "window_ua741_reduction",
             "transient_ladder16_be",
             "transient_ladder16_tr",
             "transient_ua741_be",
@@ -1232,6 +1310,8 @@ mod tests {
             "plan_ua741_compile",
             "plan_ua741_cached",
             "plan_mesh1024_probe",
+            "dft_41_forward",
+            "window_ua741_reduction",
             "fleet_ua741x64_scalar",
             "fleet_ua741x64_batched",
             "session_ua741_mirror_on",

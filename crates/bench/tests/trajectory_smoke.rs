@@ -2,7 +2,8 @@
 //! the repository root must carry every
 //! `mesh{256,1024,4096}_{markowitz,amd}_{direct,gmres}` row and every
 //! plan-build row (`plan_ua741_{probe,compile,cached}`,
-//! `plan_mesh1024_probe`) — a snapshot regenerated with an older binary
+//! `plan_mesh1024_probe`) and interpolation-layer row (`dft_41_forward`,
+//! `window_ua741_reduction`) — a snapshot regenerated with an older binary
 //! would silently drop them — and its recorded mesh1024 hybrid ratio must
 //! show the anchored-GMRES path beating per-point direct
 //! refactorization.
@@ -30,9 +31,14 @@ fn committed_trajectory_has_mesh_rows() {
             }
         }
     }
-    for row in
-        ["plan_ua741_probe", "plan_ua741_compile", "plan_ua741_cached", "plan_mesh1024_probe"]
-    {
+    for row in [
+        "plan_ua741_probe",
+        "plan_ua741_compile",
+        "plan_ua741_cached",
+        "plan_mesh1024_probe",
+        "dft_41_forward",
+        "window_ua741_reduction",
+    ] {
         assert!(json.contains(&format!("\"{row}\"")), "trajectory is missing the {row} row");
     }
     let hybrid = derived_value(&json, "mesh1024_hybrid_speedup_vs_direct");

@@ -45,10 +45,9 @@
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
 use crate::runtime::SamplingRuntime;
-use crate::window::{PolyKind, Sampler};
+use crate::window::{PolyKind, Sampler, WindowBasis};
 use refgen_mna::{MnaError, Scale, SweepBatchScratch, SweepPlan, SweepScratch};
 use refgen_numeric::{Complex, ExtComplex};
-use std::collections::HashMap;
 
 /// What one batch cost and how it ran.
 #[derive(Clone, Copy, Debug)]
@@ -73,9 +72,55 @@ pub(crate) struct BatchStats {
 
 /// How one requested σ point is obtained: solved directly (index into the
 /// solve list) or mirrored from a solved conjugate partner.
-enum Role {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
     Direct(usize),
     Mirror(usize),
+}
+
+/// The conjugate-pair halving of a σ set: the points to solve and how each
+/// requested point is obtained from them.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Halving {
+    pub solve: Vec<Complex>,
+    pub roles: Vec<Role>,
+}
+
+impl Halving {
+    /// A fixed function of the σ values alone, so the partition is
+    /// identical at any thread count under any executor: every distinct
+    /// upper-half point (`im ≥ 0`, bitwise) is solved once, in order of
+    /// first appearance; a lower-half point is mirrored from the solved
+    /// point that is its exact conjugate, or, without one, solved
+    /// directly after the upper half.
+    pub fn new(sigmas: &[Complex]) -> Halving {
+        let bits = |s: Complex| (s.re.to_bits(), s.im.to_bits());
+        let mut solve: Vec<Complex> = Vec::with_capacity(sigmas.len());
+        // (bits, solve index) of each distinct upper point, sorted.
+        let mut upper: Vec<((u64, u64), usize)> = Vec::with_capacity(sigmas.len());
+        for &s in sigmas.iter().filter(|s| s.im >= 0.0) {
+            if let Err(at) = upper.binary_search_by_key(&bits(s), |&(b, _)| b) {
+                upper.insert(at, (bits(s), solve.len()));
+                solve.push(s);
+            }
+        }
+        let find = |s: Complex| {
+            upper.binary_search_by_key(&bits(s), |&(b, _)| b).ok().map(|at| upper[at].1)
+        };
+        let mut roles = Vec::with_capacity(sigmas.len());
+        for &s in sigmas {
+            let role = if s.im >= 0.0 {
+                Role::Direct(find(s).expect("every upper point was recorded"))
+            } else if let Some(k) = find(s.conj()) {
+                Role::Mirror(k)
+            } else {
+                solve.push(s);
+                Role::Direct(solve.len() - 1)
+            };
+            roles.push(role);
+        }
+        Halving { solve, roles }
+    }
 }
 
 /// A window's sampling plan: evaluates one polynomial of the network
@@ -136,11 +181,12 @@ impl BatchSampler {
         self.plan.ordering_choice().map(|c| (self.plan.dim(), c))
     }
 
-    /// Evaluates the polynomial at every `σ` on the runtime's executor
-    /// (scoped threads or the persistent pool — bit-identical either way),
-    /// returning samples in input order. With mirroring active, only the
-    /// closed upper half-circle is solved; each lower-half σ whose exact
-    /// conjugate appears in the set is mirrored from its partner.
+    /// Evaluates the polynomial at every `σ` of `basis` on the runtime's
+    /// executor (scoped threads or the persistent pool — bit-identical
+    /// either way), returning samples in σ order. With mirroring active,
+    /// only the basis's [`Halving`] solve list is evaluated; each
+    /// lower-half σ whose exact conjugate appears in the set is mirrored
+    /// from its partner.
     ///
     /// # Errors
     ///
@@ -149,40 +195,14 @@ impl BatchSampler {
     /// legitimate zero). A mirrored point inherits its partner's failure.
     pub fn sample_all(
         &self,
-        sigmas: &[Complex],
+        basis: &WindowBasis,
         runtime: &SamplingRuntime,
     ) -> Result<(Vec<ExtComplex>, BatchStats), RefgenError> {
-        // Assign roles: a fixed function of the σ values alone, so the
-        // partition is identical at any thread count under any executor.
-        let bits = |s: Complex| (s.re.to_bits(), s.im.to_bits());
-        let mut solve: Vec<Complex> = Vec::with_capacity(sigmas.len());
-        let mut roles: Vec<Role> = Vec::with_capacity(sigmas.len());
-        if self.mirror {
-            let mut upper: HashMap<(u64, u64), usize> = HashMap::with_capacity(sigmas.len());
-            for &s in sigmas {
-                if s.im >= 0.0 {
-                    upper.entry(bits(s)).or_insert_with(|| {
-                        solve.push(s);
-                        solve.len() - 1
-                    });
-                }
-            }
-            for &s in sigmas {
-                if s.im >= 0.0 {
-                    roles.push(Role::Direct(upper[&bits(s)]));
-                } else if let Some(&k) = upper.get(&bits(s.conj())) {
-                    roles.push(Role::Mirror(k));
-                } else {
-                    // No exact partner in the set (not a conjugate-paired
-                    // grid): solve it directly.
-                    solve.push(s);
-                    roles.push(Role::Direct(solve.len() - 1));
-                }
-            }
+        let (solve, roles) = if self.mirror {
+            (&basis.halving.solve[..], Some(&basis.halving.roles[..]))
         } else {
-            solve.extend_from_slice(sigmas);
-            roles.extend((0..sigmas.len()).map(Role::Direct));
-        }
+            (&basis.sigmas[..], None)
+        };
 
         let executor = runtime.executor();
         // Reported per point regardless of lane chunking, so diagnostics
@@ -237,7 +257,7 @@ impl BatchSampler {
             (values, counters)
         } else {
             let results: Vec<(Result<ExtComplex, MnaError>, [u64; 4])> =
-                executor.par_map_indexed(&solve, SweepScratch::new, |_, &sigma, scratch| {
+                executor.par_map_indexed(solve, SweepScratch::new, |_, &sigma, scratch| {
                     let before = scratch.stats();
                     let value = match kind {
                         PolyKind::Denominator => Ok(plan.eval_det(sigma, scratch)),
@@ -266,19 +286,25 @@ impl BatchSampler {
         };
 
         let mut mirrored = 0u64;
-        let mut samples = Vec::with_capacity(sigmas.len());
-        for role in &roles {
-            let value = match *role {
-                Role::Direct(k) => values[k].clone(),
-                Role::Mirror(k) => {
-                    mirrored += 1;
-                    // Exact: conjugation only negates the mantissa's
-                    // imaginary component.
-                    values[k].clone().map(|v| v.conj())
+        let samples = match roles {
+            None => values.into_iter().collect::<Result<Vec<_>, _>>()?,
+            Some(roles) => {
+                let mut samples = Vec::with_capacity(roles.len());
+                for role in roles {
+                    let value = match *role {
+                        Role::Direct(k) => values[k].clone(),
+                        Role::Mirror(k) => {
+                            mirrored += 1;
+                            // Exact: conjugation only negates the
+                            // mantissa's imaginary component.
+                            values[k].clone().map(|v| v.conj())
+                        }
+                    };
+                    samples.push(value?);
                 }
-            };
-            samples.push(value.map_err(RefgenError::from)?);
-        }
+                samples
+            }
+        };
         let [refactor_hits, compiled_hits, recovered_fresh, recovered_reordered] = counters;
         Ok((
             samples,
@@ -291,5 +317,58 @@ impl BatchSampler {
                 recovered_reordered,
             },
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use refgen_numeric::dft::unit_circle_points;
+    use std::collections::HashMap;
+
+    /// The per-window `HashMap` partition `Halving` replaced: the reference
+    /// it must reproduce exactly.
+    fn hashed_partition(sigmas: &[Complex]) -> Halving {
+        let bits = |s: Complex| (s.re.to_bits(), s.im.to_bits());
+        let mut solve: Vec<Complex> = Vec::with_capacity(sigmas.len());
+        let mut roles: Vec<Role> = Vec::with_capacity(sigmas.len());
+        let mut upper: HashMap<(u64, u64), usize> = HashMap::with_capacity(sigmas.len());
+        for &s in sigmas {
+            if s.im >= 0.0 {
+                upper.entry(bits(s)).or_insert_with(|| {
+                    solve.push(s);
+                    solve.len() - 1
+                });
+            }
+        }
+        for &s in sigmas {
+            if s.im >= 0.0 {
+                roles.push(Role::Direct(upper[&bits(s)]));
+            } else if let Some(&k) = upper.get(&bits(s.conj())) {
+                roles.push(Role::Mirror(k));
+            } else {
+                solve.push(s);
+                roles.push(Role::Direct(solve.len() - 1));
+            }
+        }
+        Halving { solve, roles }
+    }
+
+    #[test]
+    fn halving_matches_hashed_partition() {
+        for k in 1..=128 {
+            let sigmas = unit_circle_points(k);
+            assert_eq!(Halving::new(&sigmas), hashed_partition(&sigmas), "K = {k}");
+        }
+        // Off-grid sets: duplicates, a signed zero, unpaired lower points.
+        let odd = [
+            Complex::new(1.0, 0.0),
+            Complex::new(0.5, -0.25),
+            Complex::new(1.0, 0.0),
+            Complex::new(-1.0, -0.0),
+            Complex::new(0.5, 0.25),
+            Complex::new(0.3, -0.7),
+        ];
+        assert_eq!(Halving::new(&odd), hashed_partition(&odd));
     }
 }

@@ -8,8 +8,17 @@
 //! reused per-worker scratches — numeric refactorization instead of a
 //! Markowitz pivot search per point, on [`RefgenConfig::threads`] workers
 //! with bit-identical output at any thread count.
+//!
+//! Everything a window computes from its size `K` alone lives in a
+//! window basis that the [`SamplingRuntime`] builds once per `K` and
+//! shares with every later window of that size — the verify
+//! re-interpolation, the other polynomial, and every variant of a fleet:
+//! the σ points, the DFT plan, the conjugate-pair halving, and (filled on
+//! first request) the rows `σ^i` and `σ̄^{k_lo}` of the eq. (17)
+//! reduction. Each is evaluated with the expression a window would use,
+//! so reading the basis is bit-identical to recomputing it.
 
-use crate::batch::BatchSampler;
+use crate::batch::{BatchSampler, Halving};
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
 use crate::runtime::SamplingRuntime;
@@ -32,6 +41,27 @@ pub(crate) struct Sampler<'a> {
     pub sys: &'a MnaSystem,
     pub spec: &'a TransferSpec,
     pub kind: PolyKind,
+}
+
+/// The size-only part of every `K`-point window (see the
+/// [module docs](self)); the rows of reduction powers live beside it in
+/// the runtime's table.
+#[derive(Debug)]
+pub(crate) struct WindowBasis {
+    /// The `K` interpolation points, `unit_circle_points(K)`.
+    pub sigmas: Vec<Complex>,
+    /// The eq. (5) transform plan.
+    pub dft: Dft,
+    /// The conjugate-pair halving of `sigmas`.
+    pub halving: Halving,
+}
+
+impl WindowBasis {
+    pub fn new(k: usize) -> WindowBasis {
+        let sigmas = unit_circle_points(k);
+        let halving = Halving::new(&sigmas);
+        WindowBasis { dft: Dft::new(k), sigmas, halving }
+    }
 }
 
 /// Known coefficients used by the problem-size reduction of eq. (17): the
@@ -156,7 +186,6 @@ pub(crate) fn interpolate_window(
         None => (0, n_max),
     };
     let k_points = k_hi - k_lo + 1;
-    let sigmas = unit_circle_points(k_points);
 
     let f_ext = ExtFloat::from_f64(scale.f);
     let g_ext = ExtFloat::from_f64(scale.g);
@@ -178,24 +207,24 @@ pub(crate) fn interpolate_window(
     // and shift down by σ^{k_lo}. Track the largest magnitude that enters
     // the computation: the sampling and subtraction round-off is relative
     // to it.
+    let powers: Vec<usize> = renorm_known.iter().map(|&(i, _)| i).collect();
+    let view = runtime.window_basis(k_points, &powers, k_lo);
     let batch = BatchSampler::new(sampler, scale, config, runtime)?;
-    let (raw_samples, batch_stats) = batch.sample_all(&sigmas, runtime)?;
+    let (raw_samples, batch_stats) = batch.sample_all(&view.basis, runtime)?;
     let mut raw_mag = ExtFloat::ZERO;
     for &(_, c) in &renorm_known {
         raw_mag = raw_mag.max_abs(c.norm());
     }
     let mut samples = Vec::with_capacity(k_points);
-    for (&sigma, &raw) in sigmas.iter().zip(&raw_samples) {
+    for (j, &raw) in raw_samples.iter().enumerate() {
         let mut v = raw;
         raw_mag = raw_mag.max_abs(v.norm());
-        if reduction.is_some() {
-            for &(i, c) in &renorm_known {
-                v -= c * sigma.powi(i as i32);
-            }
-            if k_lo > 0 {
-                // |σ| = 1, so σ^{−k} = conj(σ)^k exactly.
-                v = v * sigma.conj().powi(k_lo as i32);
-            }
+        for (&(_, c), row) in renorm_known.iter().zip(&view.powers) {
+            v -= c * row[j];
+        }
+        if let Some(row) = &view.shift {
+            // |σ| = 1, so σ^{−k} = conj(σ)^k exactly.
+            v = v * row[j];
         }
         samples.push(v);
     }
@@ -206,9 +235,9 @@ pub(crate) fn interpolate_window(
     };
 
     // Exponent alignment: bring all samples to the largest exponent. Samples
-    // more than ~36 decades below the maximum flush to zero — which is far
-    // below the f64 round-off floor being modeled, so nothing of value is
-    // lost.
+    // more than 1060 binary digits (~319 decades) below the maximum flush
+    // to zero — which is far below the f64 round-off floor being modeled,
+    // so nothing of value is lost.
     let e0 = samples.iter().filter(|s| !s.is_zero()).map(|s| s.exponent()).max();
     let Some(e0) = e0 else {
         // All samples exactly zero: the polynomial is zero on this range.
@@ -234,8 +263,7 @@ pub(crate) fn interpolate_window(
     let mantissas: Vec<Complex> = samples.iter().map(|s| s.mantissa_at_exponent(e0)).collect();
 
     // Inverse DFT per eq. (5): coefficients = forward(samples)/K.
-    let plan = Dft::new(k_points);
-    let spectrum = plan.forward(&mantissas);
+    let spectrum = view.basis.dft.forward(&mantissas);
     let inv_k = 1.0 / k_points as f64;
     let normalized: Vec<ExtComplex> =
         spectrum.iter().map(|&c| ExtComplex::new(c.scale(inv_k), e0)).collect();

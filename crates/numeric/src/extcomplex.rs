@@ -8,7 +8,7 @@
 //! and `1e-522` after, per the paper's Tables 2–3).
 
 use crate::complex::Complex;
-use crate::extfloat::ExtFloat;
+use crate::extfloat::{pow2, ExtFloat};
 use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -79,10 +79,14 @@ impl ExtComplex {
         if !m.is_finite() {
             return ExtComplex { mantissa: m, exponent: 0 };
         }
-        // Normalize on the dominant component.
+        // Normalize on the dominant component: a normal one carries its
+        // binary exponent in its bits, a subnormal one is pre-scaled first.
         let dom = m.re.abs().max(m.im.abs());
-        let ext = ExtFloat::from_f64(dom);
-        let shift = ext.exponent();
+        let shift = if dom >= f64::MIN_POSITIVE {
+            (dom.to_bits() >> 52) as i64 - 1023
+        } else {
+            ExtFloat::from_f64(dom).exponent()
+        };
         if shift == 0 {
             return ExtComplex { mantissa: m, exponent: self.exponent };
         }
@@ -181,9 +185,10 @@ impl ExtComplex {
 
     /// Mantissa shifted so the value equals `mantissa · 2^target_exp`.
     ///
-    /// Returns 0.0 when the shift underflows f64 (more than ~120 binary
-    /// digits below the target). Used to bring a set of coefficients to a
-    /// common exponent before an f64-domain DFT.
+    /// Returns 0.0 when the value sits more than 1060 binary digits
+    /// (~319 decades) below the target, where the shift underflows f64
+    /// entirely. Used to bring a set of coefficients to a common exponent
+    /// before an f64-domain DFT.
     pub fn mantissa_at_exponent(self, target_exp: i64) -> Complex {
         if self.is_zero() {
             return Complex::ZERO;
@@ -314,18 +319,6 @@ impl ExtProduct {
     #[inline]
     pub fn value(self) -> ExtComplex {
         ExtComplex::new(self.mantissa, self.exponent)
-    }
-}
-
-/// `2^k` for |k| ≤ ~1020, split to avoid powi overflow at the extremes.
-#[inline]
-fn pow2(k: i64) -> f64 {
-    debug_assert!(k.abs() <= 1080);
-    if k.abs() <= 1000 {
-        2f64.powi(k as i32)
-    } else {
-        let half = k / 2;
-        2f64.powi(half as i32) * 2f64.powi((k - half) as i32)
     }
 }
 
@@ -562,7 +555,7 @@ mod tests {
         assert!((z.im().log10() + 395.0).abs() < 1e-6);
         assert!(z.im().signum() < 0.0);
         // Real part far below the imaginary part is still preserved
-        // (shift < 120 binary digits ≈ 36 decades).
+        // (parts within 1060 binary digits ≈ 319 decades of each other).
         let z2 = ExtComplex::from_parts(ExtFloat::from_pow10(-430), ExtFloat::from_pow10(-400));
         assert!((z2.re().log10() + 430.0).abs() < 1e-6);
     }

@@ -150,7 +150,7 @@ impl ExtFloat {
         }
         // Split the exponent so each factor stays in range.
         let half = self.exponent / 2;
-        self.mantissa * 2f64.powi(half as i32) * 2f64.powi((self.exponent - half) as i32)
+        self.mantissa * pow2(half) * pow2(self.exponent - half)
     }
 
     /// Base-10 logarithm of the absolute value.
@@ -232,6 +232,24 @@ impl ExtFloat {
     }
 }
 
+/// `2^k` for `|k| ≤ 1080`, built from exponent bits: normal for
+/// `−1022 ≤ k ≤ 1023`, subnormal down to `2^−1074`, `0` below that and
+/// `+∞` above `2^1023` — the correctly rounded `2^k`, as a product of two
+/// in-range powers also gives it.
+#[inline]
+pub(crate) fn pow2(k: i64) -> f64 {
+    debug_assert!(k.abs() <= 1080);
+    if k > 1023 {
+        f64::INFINITY
+    } else if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else if k >= -1074 {
+        f64::from_bits(1u64 << (k + 1074))
+    } else {
+        0.0
+    }
+}
+
 impl Default for ExtFloat {
     fn default() -> Self {
         ExtFloat::ZERO
@@ -283,7 +301,7 @@ impl Add for ExtFloat {
             // The smaller operand is below one ulp of the larger.
             return hi;
         }
-        let lo_m = lo.mantissa * 2f64.powi(-(shift as i32));
+        let lo_m = lo.mantissa * pow2(-shift);
         ExtFloat::new(hi.mantissa + lo_m, hi.exponent)
     }
 }
@@ -515,6 +533,24 @@ mod tests {
         let x = ExtFloat::from_f64(1.5);
         assert_eq!(x.ldexp(10).to_f64(), 1.5 * 1024.0);
         assert!(ExtFloat::ZERO.ldexp(10).is_zero());
+    }
+
+    /// The `powi`-split formula `pow2` replaced: the reference it must
+    /// reproduce bit for bit.
+    fn pow2_by_powi(k: i64) -> f64 {
+        if k.abs() <= 1000 {
+            2f64.powi(k as i32)
+        } else {
+            let half = k / 2;
+            2f64.powi(half as i32) * 2f64.powi((k - half) as i32)
+        }
+    }
+
+    #[test]
+    fn pow2_matches_powi_split_everywhere() {
+        for k in -1080..=1080 {
+            assert_eq!(pow2(k).to_bits(), pow2_by_powi(k).to_bits(), "k={k}");
+        }
     }
 
     #[test]
